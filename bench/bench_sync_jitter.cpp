@@ -28,14 +28,13 @@ int main() {
   params.jitter_max = util::Duration::micros(150);
   TimeSync sync(sim, params);
   NodeClock clock(25.0);
-  sync.attach(1, clock);
+  util::Samples jitter_us;
+  sync.attach(1, clock, [&](util::Duration j) {
+    jitter_us.add(static_cast<double>(j.ns()) / 1000.0);
+  });
   sync.start();
   sim.run_until(util::TimePoint::zero() + util::Duration::seconds(1000));
 
-  util::Samples jitter_us;
-  for (const auto& j : sync.jitter_samples()) {
-    jitter_us.add(static_cast<double>(j.ns()) / 1000.0);
-  }
   const bool bound_met = jitter_us.max() <= 150.0;
   std::cout << "pulses observed: " << jitter_us.count() << "\n";
   std::cout << std::fixed << std::setprecision(1);

@@ -438,6 +438,14 @@ int main(int argc, char** argv) {
               << std::setprecision(0)
               << timing->find("sim_slots_per_sec")->as_double()
               << " sim slots/s\n";
+    std::cout << "  phases over all runs: setup "
+              << timing->find("setup_ms_sum")->as_double() << " ms, run "
+              << timing->find("run_ms_sum")->as_double() << " ms, teardown "
+              << timing->find("teardown_ms_sum")->as_double() << " ms";
+    if (const util::Json* rate = timing->find("run_sim_slots_per_sec")) {
+      std::cout << ", " << rate->as_double() << " sim slots/s in the run phase";
+    }
+    std::cout << "\n";
   }
 
   auto written = scenario::write_campaign_report(report, spec->name, out_dir);

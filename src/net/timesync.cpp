@@ -49,7 +49,6 @@ void TimeSync::emit_pulse() {
     Subscriber sub_copy = sub;  // survive unsubscribe during callback
     sim_.schedule_after(jitter, [this, sub_copy, nominal, jitter] {
       sub_copy.clock->discipline(sim_.now(), nominal);
-      samples_.push_back(jitter);
       if (sub_copy.on_pulse) sub_copy.on_pulse(jitter);
     });
   }

@@ -7,7 +7,6 @@
 
 #include <functional>
 #include <map>
-#include <vector>
 
 #include "net/clock.hpp"
 #include "net/packet.hpp"
@@ -40,8 +39,6 @@ class TimeSync {
   void stop();
 
   const TimeSyncParams& params() const { return params_; }
-  /// All jitter samples observed so far (for the E3 distribution bench).
-  const std::vector<util::Duration>& jitter_samples() const { return samples_; }
   std::size_t pulses_emitted() const { return pulses_; }
   std::size_t pulses_missed() const { return missed_; }
 
@@ -57,7 +54,6 @@ class TimeSync {
   sim::Simulator& sim_;
   TimeSyncParams params_;
   std::map<NodeId, Subscriber> subscribers_;
-  std::vector<util::Duration> samples_;
   std::size_t pulses_ = 0;
   std::size_t missed_ = 0;
   bool running_ = false;

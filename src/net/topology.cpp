@@ -160,20 +160,6 @@ const std::vector<std::int32_t>& Topology::distances_from(NodeId dest) const {
   return cache.dist;
 }
 
-std::map<NodeId, int> Topology::hop_counts(NodeId source) const {
-  std::map<NodeId, int> dist;
-  if (!has_node(source)) return dist;
-  const std::vector<std::int32_t>& flat = distances_from(source);
-  if (node_down(source)) {
-    dist[source] = 0;  // BFS from a corpse reaches only itself
-    return dist;
-  }
-  for (std::size_t id = 0; id < flat.size(); ++id) {
-    if (flat[id] >= 0) dist[static_cast<NodeId>(id)] = flat[id];
-  }
-  return dist;
-}
-
 std::optional<NodeId> Topology::next_hop(NodeId source, NodeId dest) const {
   if (source == dest) return dest;
   // Cached BFS from dest; the neighbor of `source` with the smallest

@@ -2,13 +2,15 @@
 // Links can be reconfigured while the simulation runs — the paper's central
 // premise is that topology changes are routine, not exceptional.
 //
-// Hot-path note (ROADMAP item 1): the structural state of record stays in
-// ordered containers (deterministic iteration), but per-query work is served
-// from dense flat arrays indexed by raw NodeId — a cached adjacency and a
-// cached BFS distance field per destination — rebuilt lazily whenever
-// `version()` moves. A 300-node broadcast therefore costs O(degree) per
-// transmission instead of O(links) per neighbor query, and a unicast forward
-// costs O(degree) instead of a fresh O(V+E) BFS.
+// Hot-path note: the structural state of record stays in ordered containers
+// (deterministic iteration), but per-query work is served from dense flat
+// arrays indexed by raw NodeId — a cached adjacency and a cached BFS
+// distance field per destination — rebuilt lazily whenever `version()`
+// moves. A 300-node broadcast therefore costs O(degree) per transmission
+// instead of O(links) per neighbor query, and a unicast forward costs
+// O(degree) instead of a fresh O(V+E) BFS. Whole-graph analysis of a static
+// world (connectivity, diameter, hop order from the gateway) is not served
+// here: testbed::TopologySpec runs it on its own dense graph of the spec.
 #pragma once
 
 #include <cstdint>
@@ -81,9 +83,6 @@ class Topology {
   /// of cell entries. Same invalidation rule as neighbors_view().
   const std::vector<CellMask>& audible_cells_view(NodeId id) const;
 
-  /// Breadth-first hop counts from `source` over up links; unreachable nodes
-  /// are absent from the map.
-  std::map<NodeId, int> hop_counts(NodeId source) const;
   /// Next hop on a shortest path from `source` toward `dest`, if reachable.
   /// Served from a per-destination cached BFS distance field.
   std::optional<NodeId> next_hop(NodeId source, NodeId dest) const;

@@ -109,6 +109,21 @@ Json aggregate_views(const std::vector<RunView>& views) {
   return aggregate;
 }
 
+/// The per-phase split of a timing block: each run's setup, run and
+/// teardown wall time, summed over the runs (with parallel workers the sums
+/// are CPU-wall, like wall_ms_sum), and the throughput of the run phase
+/// alone, which set-up and report work cannot dilute.
+void set_phase_timing(Json& timing, double setup_ms, double run_ms,
+                      double teardown_ms, std::uint64_t slots) {
+  timing.set("setup_ms_sum", setup_ms);
+  timing.set("run_ms_sum", run_ms);
+  timing.set("teardown_ms_sum", teardown_ms);
+  if (run_ms > 0.0) {
+    timing.set("run_sim_slots_per_sec",
+               static_cast<double>(slots) / (run_ms / 1000.0));
+  }
+}
+
 }  // namespace
 
 std::size_t CampaignResult::ok_count() const {
@@ -213,9 +228,13 @@ Json campaign_report(const ScenarioSpec& spec, const CampaignConfig& config,
   // test fixtures) get no block at all.
   if (result.wall_ms > 0.0) {
     std::uint64_t events = 0, slots = 0;
+    double setup_ms = 0.0, run_ms = 0.0, teardown_ms = 0.0;
     for (const auto& run : result.runs) {
       events += run.sim_events;
       slots += run.sim_slots;
+      setup_ms += run.wall_setup_ms;
+      run_ms += run.wall_run_ms;
+      teardown_ms += run.wall_teardown_ms;
     }
     Json timing = Json::object();
     timing.set("wall_ms", result.wall_ms);
@@ -223,6 +242,7 @@ Json campaign_report(const ScenarioSpec& spec, const CampaignConfig& config,
     timing.set("sim_slots", static_cast<std::int64_t>(slots));
     timing.set("sim_slots_per_sec",
                static_cast<double>(slots) / (result.wall_ms / 1000.0));
+    set_phase_timing(timing, setup_ms, run_ms, teardown_ms, slots);
     root.set("timing", std::move(timing));
   }
   return root;
@@ -246,6 +266,7 @@ util::Result<Json> merge_campaign_reports(const std::vector<Json>& reports) {
   std::uint64_t base_seed = 0;
   std::size_t seeds = 0;
   double wall_ms = 0.0;
+  double setup_ms = 0.0, run_ms = 0.0, teardown_ms = 0.0;
   std::int64_t events_dispatched = 0;
   std::int64_t sim_slots = 0;
   std::size_t timed_shards = 0;
@@ -282,6 +303,11 @@ util::Result<Json> merge_campaign_reports(const std::vector<Json>& reports) {
         events_dispatched += e->as_int();
       }
       if (const Json* s = timing->find("sim_slots")) sim_slots += s->as_int();
+      if (const Json* p = timing->find("setup_ms_sum")) setup_ms += p->as_double();
+      if (const Json* p = timing->find("run_ms_sum")) run_ms += p->as_double();
+      if (const Json* p = timing->find("teardown_ms_sum")) {
+        teardown_ms += p->as_double();
+      }
     }
     first = false;
     const Json* shard_runs = report.find("runs");
@@ -344,6 +370,10 @@ util::Result<Json> merge_campaign_reports(const std::vector<Json>& reports) {
       timing.set("sim_slots_per_sec",
                  static_cast<double>(sim_slots) / (wall_ms / 1000.0));
     }
+    // The phase sums are per-run times already, so they add across shards
+    // and the run-phase rate stays honest however many shards contributed.
+    set_phase_timing(timing, setup_ms, run_ms, teardown_ms,
+                     static_cast<std::uint64_t>(sim_slots));
     root.set("timing", std::move(timing));
   }
   return root;

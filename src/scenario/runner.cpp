@@ -307,7 +307,7 @@ RunMetrics ScenarioRunner::collect() {
     }
   }
 
-  m.dissemination = topo_.multi_hop()
+  m.dissemination = tb.multi_hop()
                         ? testbed::to_string(tb.dissemination_mode())
                         : "single_hop";
   for (net::NodeId id : topo_.node_ids()) {

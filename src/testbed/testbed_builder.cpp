@@ -139,17 +139,19 @@ void TestbedBuilder::build_nodes() {
   // dissemination over the gateway-rooted spanning tree pruned to the
   // role nodes — multicast cost follows the tree size; kFlood keeps the
   // PR 4 every-node re-broadcast as the comparison baseline.
+  // The one all-pairs pass per build: the router TTL needs the exact
+  // diameter, and the multi-hop verdict is kept for collect-time readers.
   const int diameter = topo_.diameter();
-  const bool multi_hop = diameter > 1;
+  multi_hop_ = diameter > 1;
   const std::uint8_t ttl = static_cast<std::uint8_t>(std::max(8, diameter + 1));
   dissemination_ = config_.dissemination;
   if (dissemination_ == DisseminationMode::kAuto) {
-    dissemination_ = multi_hop ? DisseminationMode::kTree
-                               : DisseminationMode::kFlood;
+    dissemination_ = multi_hop_ ? DisseminationMode::kTree
+                                : DisseminationMode::kFlood;
   }
   // Single-hop worlds never relay broadcasts regardless of the mode; the
   // tree cache is only built (and consulted) where relaying happens.
-  if (multi_hop && dissemination_ == DisseminationMode::kTree) {
+  if (multi_hop_ && dissemination_ == DisseminationMode::kTree) {
     tree_cache_ = std::make_unique<net::DisseminationTreeCache>(
         topology_, topo_.gateway(), topo_.dissemination_targets());
   }
@@ -164,7 +166,7 @@ void TestbedBuilder::build_nodes() {
     ++index;
     nodes_[entry.id] = std::make_unique<core::Node>(sim_, *medium_, *schedule_,
                                                     *timesync_, config);
-    if (multi_hop) {
+    if (multi_hop_) {
       if (tree_cache_ != nullptr) {
         nodes_[entry.id]->router().enable_tree_dissemination(tree_cache_.get());
         if (config_.head_bound_tree_unicast) {

@@ -114,6 +114,9 @@ class TestbedBuilder {
   /// The resolved dissemination mode (kAuto collapsed to what was built);
   /// never kAuto after construction.
   DisseminationMode dissemination_mode() const { return dissemination_; }
+  /// topology_spec().multi_hop(), as found by the build's one diameter()
+  /// pass: routers relay broadcasts only in multi-hop worlds.
+  bool multi_hop() const { return multi_hop_; }
   /// The shared liveness-aware dissemination tree, or nullptr outside
   /// tree mode (single-hop / flood worlds).
   const net::DisseminationTreeCache* dissemination_cache() const {
@@ -152,6 +155,7 @@ class TestbedBuilder {
   core::VcDescriptor descriptor_;
   std::unique_ptr<net::DisseminationTreeCache> tree_cache_;
   DisseminationMode dissemination_ = DisseminationMode::kAuto;
+  bool multi_hop_ = false;
   std::map<net::NodeId, std::unique_ptr<core::Node>> nodes_;
   std::map<net::NodeId, std::unique_ptr<core::EvmService>> services_;
   double steady_opening_ = 0.0;

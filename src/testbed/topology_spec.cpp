@@ -71,6 +71,91 @@ class SpecBuilder {
   std::map<NodeRole, std::size_t> role_counts_;
 };
 
+/// The spec's link graph over spec positions (vertex i is nodes[i]), in
+/// compressed-row form: the neighbours of v are
+/// targets[offsets[v] .. offsets[v + 1]). Every analysis below runs on it,
+/// so none of them pays for a net::Topology's ordered containers. A link
+/// naming an id outside the spec adds no edge, and a duplicated id resolves
+/// to its first node, leaving the later copy isolated; validate() rejects
+/// both before its connectivity check.
+struct DenseGraph {
+  std::vector<std::uint32_t> offsets;
+  std::vector<std::uint32_t> targets;
+  std::vector<std::int32_t> vertex_of;  // raw NodeId -> vertex, -1 if absent
+
+  std::uint32_t size() const { return static_cast<std::uint32_t>(offsets.size() - 1); }
+  std::int32_t vertex(net::NodeId id) const {
+    return id < vertex_of.size() ? vertex_of[id] : -1;
+  }
+
+  /// Breadth-first hop counts from `source` into `dist` (-1 unreachable),
+  /// with `queue` as the work list; both are resized, so callers can reuse
+  /// them across sources. A `removed` vertex is never entered. Returns the
+  /// number of vertices reached, in `queue` in dequeue order.
+  std::uint32_t bfs(std::uint32_t source, std::vector<std::int32_t>& dist,
+                    std::vector<std::uint32_t>& queue,
+                    std::int32_t removed = -1) const {
+    dist.assign(size(), -1);
+    queue.resize(size());
+    if (removed >= 0) dist[removed] = 0;
+    dist[source] = 0;
+    queue[0] = source;
+    std::uint32_t head = 0, tail = 1;
+    while (head < tail) {
+      const std::uint32_t v = queue[head++];
+      for (std::uint32_t e = offsets[v]; e < offsets[v + 1]; ++e) {
+        const std::uint32_t n = targets[e];
+        if (dist[n] < 0) {
+          dist[n] = dist[v] + 1;
+          queue[tail++] = n;
+        }
+      }
+    }
+    return tail;
+  }
+};
+
+DenseGraph dense_graph(const TopologySpec& spec) {
+  DenseGraph g;
+  const auto n = static_cast<std::uint32_t>(spec.nodes.size());
+  net::NodeId max_id = 0;
+  for (const auto& node : spec.nodes) max_id = std::max(max_id, node.id);
+  g.vertex_of.assign(static_cast<std::size_t>(max_id) + 1, -1);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    std::int32_t& slot = g.vertex_of[spec.nodes[v].id];
+    if (slot < 0) slot = static_cast<std::int32_t>(v);
+  }
+  // Two passes over the links: count degrees, then fill each row.
+  g.offsets.assign(n + 1, 0);
+  for (const auto& link : spec.links) {
+    const std::int32_t a = g.vertex(link.a);
+    const std::int32_t b = g.vertex(link.b);
+    if (a < 0 || b < 0) continue;
+    ++g.offsets[a + 1];
+    ++g.offsets[b + 1];
+  }
+  for (std::uint32_t v = 0; v < n; ++v) g.offsets[v + 1] += g.offsets[v];
+  g.targets.resize(g.offsets[n]);
+  std::vector<std::uint32_t> fill(g.offsets.begin(), g.offsets.end() - 1);
+  for (const auto& link : spec.links) {
+    const std::int32_t a = g.vertex(link.a);
+    const std::int32_t b = g.vertex(link.b);
+    if (a < 0 || b < 0) continue;
+    g.targets[fill[a]++] = static_cast<std::uint32_t>(b);
+    g.targets[fill[b]++] = static_cast<std::uint32_t>(a);
+  }
+  return g;
+}
+
+/// One BFS: does every spec node reach every other? An empty spec counts
+/// as connected.
+bool connected(const DenseGraph& g) {
+  if (g.size() == 0) return true;
+  std::vector<std::int32_t> dist;
+  std::vector<std::uint32_t> queue;
+  return g.bfs(0, dist, queue) == g.size();
+}
+
 }  // namespace
 
 const char* to_string(DisseminationMode mode) {
@@ -218,33 +303,48 @@ net::Topology TopologySpec::to_topology() const {
 }
 
 int TopologySpec::diameter() const {
-  const net::Topology topo = to_topology();
+  const DenseGraph g = dense_graph(*this);
+  std::vector<std::int32_t> dist;
+  std::vector<std::uint32_t> queue;
   int diameter = 0;
-  for (const auto& node : nodes) {
-    const auto dist = topo.hop_counts(node.id);
-    if (dist.size() != nodes.size()) return -1;  // disconnected
-    for (const auto& [other, hops] : dist) {
-      (void)other;
-      diameter = std::max(diameter, hops);
-    }
+  for (std::uint32_t v = 0; v < g.size(); ++v) {
+    if (g.bfs(v, dist, queue) != g.size()) return -1;  // disconnected
+    // The last vertex dequeued is the farthest from v.
+    diameter = std::max(diameter, dist[queue[g.size() - 1]]);
   }
   return diameter;
 }
 
+bool TopologySpec::multi_hop() const {
+  // diameter() > 1 without the all-pairs pass: a connected spec is
+  // single-hop exactly when every node links to every other one.
+  const DenseGraph g = dense_graph(*this);
+  if (!connected(g)) return false;
+  // Count each vertex's distinct neighbours, so duplicate links and
+  // self-links cannot pass for missing ones.
+  std::vector<std::uint32_t> seen_from(g.size(), g.size());
+  for (std::uint32_t v = 0; v < g.size(); ++v) {
+    std::uint32_t distinct = 0;
+    for (std::uint32_t e = g.offsets[v]; e < g.offsets[v + 1]; ++e) {
+      const std::uint32_t n = g.targets[e];
+      if (n == v || seen_from[n] == v) continue;
+      seen_from[n] = v;
+      ++distinct;
+    }
+    if (distinct + 1 < g.size()) return true;
+  }
+  return false;
+}
+
 bool TopologySpec::is_cut_vertex(net::NodeId id) const {
   if (nodes.size() < 3) return false;
-  net::Topology graph = to_topology();
-  for (net::NodeId neighbor : graph.neighbors(id)) {
-    graph.set_link_up(id, neighbor, false);
-  }
-  net::NodeId start = net::kInvalidNode;
-  for (const auto& node : nodes) {
-    if (node.id != id) {
-      start = node.id;
-      break;
-    }
-  }
-  return graph.hop_counts(start).size() != nodes.size() - 1;
+  // BFS over the spec with `id` removed, from the first other node.
+  const DenseGraph g = dense_graph(*this);
+  const std::int32_t cut = g.vertex(id);
+  const std::uint32_t start = cut == 0 ? 1 : 0;
+  std::vector<std::int32_t> dist;
+  std::vector<std::uint32_t> queue;
+  return g.bfs(start, dist, queue, cut) != nodes.size() - 1;
 }
 
 util::Status TopologySpec::validate() const {
@@ -295,10 +395,10 @@ util::Status TopologySpec::validate() const {
 
   std::set<std::pair<net::NodeId, net::NodeId>> seen;
   for (const auto& link : links) {
-    if (find(link.a) == nullptr || find(link.b) == nullptr) {
+    if (ids.count(link.a) == 0 || ids.count(link.b) == 0) {
       return Status::invalid_argument(
           "link references unknown node " +
-          std::to_string(find(link.a) == nullptr ? link.a : link.b));
+          std::to_string(ids.count(link.a) == 0 ? link.a : link.b));
     }
     if (link.a == link.b) {
       return Status::invalid_argument("link endpoints must differ (node " +
@@ -314,7 +414,7 @@ util::Status TopologySpec::validate() const {
                                       "-" + std::to_string(link.b));
     }
   }
-  if (diameter() < 0) {
+  if (!connected(dense_graph(*this))) {
     return Status::invalid_argument("topology is disconnected");
   }
   return Status::ok();
@@ -325,17 +425,19 @@ SchedulePlan plan_schedule(const TopologySpec& topo, DisseminationMode mode) {
   // Base slots in hop order from the gateway, ties by spec order: a packet
   // flooding away from the gateway end of the network can cross several
   // hops inside a single frame instead of paying one frame per hop.
-  const net::Topology graph = topo.to_topology();
-  const auto hops = graph.hop_counts(topo.gateway());
+  const DenseGraph graph = dense_graph(topo);
+  std::vector<std::int32_t> dist(graph.size(), -1);
+  std::vector<std::uint32_t> queue;
+  if (const std::int32_t gw = graph.vertex(topo.gateway()); gw >= 0) {
+    graph.bfs(static_cast<std::uint32_t>(gw), dist, queue);
+  }
+  auto hops = [&](net::NodeId id) {
+    const std::int32_t v = graph.vertex(id);
+    return v < 0 || dist[v] < 0 ? 1 << 20 : dist[v];
+  };
   std::vector<net::NodeId> order = topo.node_ids();
   std::stable_sort(order.begin(), order.end(),
-                   [&](net::NodeId a, net::NodeId b) {
-                     const auto ha = hops.find(a);
-                     const auto hb = hops.find(b);
-                     const int da = ha == hops.end() ? 1 << 20 : ha->second;
-                     const int db = hb == hops.end() ? 1 << 20 : hb->second;
-                     return da < db;
-                   });
+                   [&](net::NodeId a, net::NodeId b) { return hops(a) < hops(b); });
   plan.slots = order;
 
   // Mirror pass (tree-scoped multi-hop worlds only): the dissemination
@@ -347,7 +449,7 @@ SchedulePlan plan_schedule(const TopologySpec& topo, DisseminationMode mode) {
   // exact PR 4 frame, so the flood knob really is the PR 4 baseline).
   if (topo.multi_hop() && mode != DisseminationMode::kFlood) {
     const net::DisseminationTree tree = net::DisseminationTree::compute(
-        graph, topo.gateway(), topo.dissemination_targets());
+        topo.to_topology(), topo.gateway(), topo.dissemination_targets());
     std::vector<net::NodeId> interior;
     for (net::NodeId id : order) {
       if (tree.forwards(id)) interior.push_back(id);

@@ -109,9 +109,13 @@ struct TopologySpec {
   util::Result<net::NodeId> parse_node(const util::Json& ref) const;
 
   /// Longest shortest-path hop count between any node pair; -1 when the
-  /// graph is disconnected. 1 on the Fig. 5 full mesh.
+  /// graph is disconnected. 1 on the Fig. 5 full mesh. An all-pairs BFS,
+  /// O(N * (N + E)): TestbedBuilder calls it once per build for the router
+  /// TTL, and everything else asks multi_hop() instead.
   int diameter() const;
-  bool multi_hop() const { return diameter() > 1; }
+  /// diameter() > 1 in O(N + E): connected, but not every node links to
+  /// every other. False on a disconnected spec, as diameter() is -1 there.
+  bool multi_hop() const;
   /// True when removing `id` disconnects the remaining nodes. Permanently
   /// crashing a cut vertex partitions the VC — outside the fault model, so
   /// the fuzz generator always schedules a restart for these.

@@ -195,6 +195,9 @@ TEST(CampaignShards, MergedTimingSumsWallHonestly) {
     for (std::uint64_t i = shard; i < 4; i += 2) {
       RunMetrics run = ok_run(1 + i, 2.0);
       run.sim_slots = 100;
+      run.wall_setup_ms = 4.0;
+      run.wall_run_ms = 20.0;
+      run.wall_teardown_ms = 1.0;
       result.runs.push_back(run);
     }
     result.wall_ms = 50.0;  // each shard: 50 ms of its own wall clock
@@ -209,6 +212,13 @@ TEST(CampaignShards, MergedTimingSumsWallHonestly) {
   EXPECT_EQ(timing->find("wall_ms"), nullptr);
   EXPECT_EQ(timing->find("sim_slots_per_sec"), nullptr);
   EXPECT_EQ(timing->find("sim_slots")->as_int(), 400);
+  // Phase sums are per-run times, so they add across shards like
+  // wall_ms_sum, and the run-phase rate derived from them stays honest.
+  EXPECT_DOUBLE_EQ(timing->find("setup_ms_sum")->as_double(), 16.0);
+  EXPECT_DOUBLE_EQ(timing->find("run_ms_sum")->as_double(), 80.0);
+  EXPECT_DOUBLE_EQ(timing->find("teardown_ms_sum")->as_double(), 4.0);
+  EXPECT_DOUBLE_EQ(timing->find("run_sim_slots_per_sec")->as_double(),
+                   400.0 / 0.08);
 
   // A single-report merge is just that one invocation: sum == elapsed, so
   // the derived rate is meaningful and kept.
@@ -379,6 +389,39 @@ TEST(CampaignTiming, RealRunsCarryAWallClockTimingBlock) {
   ASSERT_NE(timing->find("events_dispatched"), nullptr);
   ASSERT_NE(timing->find("sim_slots"), nullptr);
   ASSERT_NE(timing->find("sim_slots_per_sec"), nullptr);
+  // Every run stopped in its setup phase, so the phase split has setup
+  // time only, and no run-phase rate can be derived.
+  ASSERT_NE(timing->find("setup_ms_sum"), nullptr);
+  EXPECT_GE(timing->find("setup_ms_sum")->as_double(), 0.0);
+  EXPECT_DOUBLE_EQ(timing->find("run_ms_sum")->as_double(), 0.0);
+  EXPECT_DOUBLE_EQ(timing->find("teardown_ms_sum")->as_double(), 0.0);
+  EXPECT_EQ(timing->find("run_sim_slots_per_sec"), nullptr);
+}
+
+TEST(CampaignTiming, PhaseSplitSumsRunsAndRatesTheRunPhase) {
+  CampaignConfig config;
+  config.seeds = 2;
+  CampaignResult result;
+  for (std::uint64_t seed : {1, 2}) {
+    RunMetrics run = ok_run(seed, 2.0);
+    run.sim_slots = 1000;
+    run.wall_setup_ms = 30.0;
+    run.wall_run_ms = 50.0;
+    run.wall_teardown_ms = 5.0;
+    result.runs.push_back(run);
+  }
+  result.wall_ms = 200.0;
+  const util::Json report = campaign_report(minimal_spec(), config, result);
+  const util::Json* timing = report.find("timing");
+  ASSERT_NE(timing, nullptr);
+  EXPECT_DOUBLE_EQ(timing->find("setup_ms_sum")->as_double(), 60.0);
+  EXPECT_DOUBLE_EQ(timing->find("run_ms_sum")->as_double(), 100.0);
+  EXPECT_DOUBLE_EQ(timing->find("teardown_ms_sum")->as_double(), 10.0);
+  // The blended rate divides by the whole invocation; the run-phase rate
+  // by the run phases alone, which set-up cannot dilute.
+  EXPECT_DOUBLE_EQ(timing->find("sim_slots_per_sec")->as_double(), 2000.0 / 0.2);
+  EXPECT_DOUBLE_EQ(timing->find("run_sim_slots_per_sec")->as_double(),
+                   2000.0 / 0.1);
 }
 
 TEST(CampaignTiming, HandBuiltResultsStayByteStableWithNoTimingBlock) {

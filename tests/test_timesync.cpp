@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "net/clock.hpp"
 #include "net/timesync.hpp"
 
@@ -65,12 +67,13 @@ TEST(TimeSync, JitterRespectsHardBound) {
   params.jitter_max = util::Duration::micros(150);
   TimeSync sync(sim, params);
   NodeClock clock(0.0);
-  sync.attach(1, clock);
+  std::vector<util::Duration> jitter;
+  sync.attach(1, clock, [&](util::Duration j) { jitter.push_back(j); });
   sync.start();
   sim.run_until(util::TimePoint::zero() + util::Duration::seconds(10));
 
-  ASSERT_GT(sync.jitter_samples().size(), 500u);
-  for (const auto& j : sync.jitter_samples()) {
+  ASSERT_GT(jitter.size(), 500u);
+  for (const auto& j : jitter) {
     EXPECT_GE(j.ns(), 0);
     EXPECT_LE(j.us(), 150);
   }
@@ -82,12 +85,16 @@ TEST(TimeSync, SubMillisecondJitterTypical) {
   sim::Simulator sim(6);
   TimeSync sync(sim, {});
   NodeClock clock(10.0);
-  sync.attach(1, clock);
+  double sum = 0.0;
+  std::size_t pulses = 0;
+  sync.attach(1, clock, [&](util::Duration j) {
+    sum += static_cast<double>(j.us());
+    ++pulses;
+  });
   sync.start();
   sim.run_until(util::TimePoint::zero() + util::Duration::seconds(200));
-  double sum = 0.0;
-  for (const auto& j : sync.jitter_samples()) sum += static_cast<double>(j.us());
-  const double mean_us = sum / static_cast<double>(sync.jitter_samples().size());
+  ASSERT_GT(pulses, 0u);
+  const double mean_us = sum / static_cast<double>(pulses);
   EXPECT_LT(mean_us, 60.0);
   EXPECT_GT(mean_us, 10.0);
 }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <map>
+
 #include "net/topology.hpp"
 
 namespace evm::net {
@@ -40,21 +43,6 @@ TEST(Topology, NeighborsExcludeDownLinks) {
   const auto n = t.neighbors(1);
   EXPECT_EQ(n.size(), 1u);
   EXPECT_EQ(n[0], 2);
-}
-
-TEST(Topology, HopCountsLine) {
-  Topology t = Topology::line({1, 2, 3, 4, 5});
-  const auto d = t.hop_counts(1);
-  EXPECT_EQ(d.at(1), 0);
-  EXPECT_EQ(d.at(3), 2);
-  EXPECT_EQ(d.at(5), 4);
-}
-
-TEST(Topology, HopCountsUnreachable) {
-  Topology t = Topology::line({1, 2});
-  t.add_node(9);
-  const auto d = t.hop_counts(1);
-  EXPECT_EQ(d.count(9), 0u);
 }
 
 TEST(Topology, NextHopFollowsShortestPath) {
@@ -109,6 +97,21 @@ TEST(Topology, RemoveLink) {
   EXPECT_EQ(t.next_hop(1, 2), 3);
 }
 
+// Hop counts from `source` by plain BFS over neighbors(): the reference
+// path length next_hop must not exceed.
+std::map<NodeId, int> bfs_hops(const Topology& t, NodeId source) {
+  std::map<NodeId, int> dist{{source, 0}};
+  std::deque<NodeId> frontier{source};
+  while (!frontier.empty()) {
+    const NodeId cur = frontier.front();
+    frontier.pop_front();
+    for (NodeId n : t.neighbors(cur)) {
+      if (dist.emplace(n, dist[cur] + 1).second) frontier.push_back(n);
+    }
+  }
+  return dist;
+}
+
 // Property: following next_hop from any source must reach the destination
 // in at most hop_count steps (no loops, monotone progress).
 class NextHopProperty : public ::testing::TestWithParam<int> {};
@@ -134,7 +137,7 @@ TEST_P(NextHopProperty, ConvergesWithoutLoops) {
         cur = *hop;
         ASSERT_LE(++steps, n) << "routing loop " << src << "->" << dst;
       }
-      EXPECT_LE(steps, t.hop_counts(src).at(dst));
+      EXPECT_LE(steps, bfs_hops(t, src).at(dst));
     }
   }
 }
@@ -147,7 +150,6 @@ TEST(Topology, VersionMovesOnEveryMutationOnly) {
 
   // Queries never bump the version.
   (void)topo.neighbors(2);
-  (void)topo.hop_counts(1);
   (void)topo.next_hop(1, 3);
   EXPECT_EQ(topo.version(), built);
 

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <map>
 #include <set>
 
+#include "net/dissemination.hpp"
 #include "testbed/topology_spec.hpp"
 
 namespace evm::testbed {
@@ -16,6 +19,98 @@ util::Json parse_json(const std::string& text) {
   auto json = util::Json::parse(text);
   EXPECT_TRUE(json.ok()) << json.status().to_string();
   return *json;
+}
+
+// --- Reference analysis ----------------------------------------------------
+// The straightforward all-pairs BFS over ordered maps that TopologySpec's
+// dense-graph analysis must agree with: hop counts from every node, -1 for a
+// disconnected spec, and the slot plan derived from those hop counts.
+
+using HopMap = std::map<net::NodeId, int>;
+using Adjacency = std::map<net::NodeId, std::set<net::NodeId>>;
+
+Adjacency reference_adjacency(const TopologySpec& spec) {
+  Adjacency adj;
+  for (const auto& node : spec.nodes) adj[node.id];
+  for (const auto& link : spec.links) {
+    adj[link.a].insert(link.b);
+    adj[link.b].insert(link.a);
+  }
+  return adj;
+}
+
+HopMap reference_hops(const Adjacency& adj, net::NodeId source) {
+  HopMap dist;
+  if (adj.count(source) == 0) return dist;
+  dist[source] = 0;
+  std::deque<net::NodeId> frontier{source};
+  while (!frontier.empty()) {
+    const net::NodeId cur = frontier.front();
+    frontier.pop_front();
+    for (net::NodeId n : adj.at(cur)) {
+      if (dist.emplace(n, dist[cur] + 1).second) frontier.push_back(n);
+    }
+  }
+  return dist;
+}
+
+int reference_diameter(const TopologySpec& spec) {
+  const Adjacency adj = reference_adjacency(spec);
+  int diameter = 0;
+  for (const auto& node : spec.nodes) {
+    const HopMap dist = reference_hops(adj, node.id);
+    if (dist.size() != spec.nodes.size()) return -1;
+    for (const auto& [id, hops] : dist) diameter = std::max(diameter, hops);
+  }
+  return diameter;
+}
+
+std::vector<net::NodeId> reference_slots(const TopologySpec& spec, int diameter,
+                                         DisseminationMode mode) {
+  const HopMap hops = reference_hops(reference_adjacency(spec), spec.gateway());
+  auto hop = [&](net::NodeId id) {
+    const auto it = hops.find(id);
+    return it == hops.end() ? 1 << 20 : it->second;
+  };
+  std::vector<net::NodeId> order = spec.node_ids();
+  std::stable_sort(order.begin(), order.end(),
+                   [&](net::NodeId a, net::NodeId b) { return hop(a) < hop(b); });
+  std::vector<net::NodeId> slots = order;
+  if (diameter > 1 && mode != DisseminationMode::kFlood) {
+    const net::DisseminationTree tree = net::DisseminationTree::compute(
+        spec.to_topology(), spec.gateway(), spec.dissemination_targets());
+    std::vector<net::NodeId> interior;
+    for (net::NodeId id : order) {
+      if (tree.forwards(id)) interior.push_back(id);
+    }
+    slots.insert(slots.end(), interior.rbegin(), interior.rend());
+  }
+  for (const auto& node : spec.nodes) {
+    if (node.role == NodeRole::kSensor) slots.push_back(node.id);
+  }
+  const auto replicas = spec.replica_order();
+  for (std::size_t i = 0; i < replicas.size() && i < 2; ++i) {
+    slots.push_back(replicas[i]);
+  }
+  slots.push_back(spec.gateway());
+  return slots;
+}
+
+void expect_matches_reference(const TopologySpec& spec, const std::string& what) {
+  SCOPED_TRACE(what);
+  const int diameter = reference_diameter(spec);
+  EXPECT_EQ(spec.diameter(), diameter);
+  EXPECT_EQ(spec.multi_hop(), diameter > 1);
+  const util::Status valid = spec.validate();
+  if (diameter < 0) {
+    EXPECT_EQ(valid.message(), "topology is disconnected");
+  } else {
+    EXPECT_TRUE(valid) << valid.to_string();
+  }
+  for (DisseminationMode mode : {DisseminationMode::kAuto, DisseminationMode::kFlood}) {
+    EXPECT_EQ(plan_schedule(spec, mode).slots, reference_slots(spec, diameter, mode))
+        << to_string(mode);
+  }
 }
 
 TEST(TopologySpecFig5, MatchesThePaperTestbed) {
@@ -235,6 +330,89 @@ TEST(TopologySpecValidation, RejectsMalformedWorlds) {
     auto spec = TopologySpec::from_json(parse_json(text));
     EXPECT_FALSE(spec.ok()) << "accepted: " << text;
   }
+}
+
+TEST(TopologySpecReference, GeneratorsMatchTheAllPairsReference) {
+  expect_matches_reference(default_fig5_topology(), "fig5");
+  expect_matches_reference(default_fig5_topology(true, 0.05), "fig5 third");
+  expect_matches_reference(line_topology(8), "line 8");
+  expect_matches_reference(line_topology(12, 3), "line 12");
+  expect_matches_reference(grid_topology(5, 4), "grid 5x4");
+  expect_matches_reference(grid_topology(7, 3, 3), "grid 7x3");
+  expect_matches_reference(star_topology(7), "star 7");
+  expect_matches_reference(star_topology(3, 1), "star 3");
+}
+
+TEST(TopologySpecReference, ScaleSweep1000GridMatchesTheReference) {
+  // scenarios/scale_sweep_1000.json: {"generator": "grid", "width": 40,
+  // "height": 25, "controllers": 2}.
+  const TopologySpec grid = grid_topology(40, 25, 2);
+  ASSERT_EQ(grid.nodes.size(), 1000u);
+  expect_matches_reference(grid, "grid 40x25");
+  EXPECT_EQ(grid.diameter(), 39 + 24);
+}
+
+TEST(TopologySpecReference, CutVerticesMatchTheReference) {
+  for (const TopologySpec& spec :
+       {default_fig5_topology(), line_topology(8), grid_topology(5, 4),
+        star_topology(7)}) {
+    for (const auto& node : spec.nodes) {
+      TopologySpec without = spec;
+      without.nodes.erase(std::find_if(
+          without.nodes.begin(), without.nodes.end(),
+          [&](const TopologyNode& n) { return n.id == node.id; }));
+      std::erase_if(without.links, [&](const TopologyLink& l) {
+        return l.a == node.id || l.b == node.id;
+      });
+      EXPECT_EQ(spec.is_cut_vertex(node.id), reference_diameter(without) < 0)
+          << node.name;
+    }
+  }
+}
+
+TEST(TopologySpecReference, DisconnectedSpecIsNotMultiHop) {
+  // Two islands: gateway-sensor and controller-actuator.
+  TopologySpec spec = line_topology(4, 1);
+  spec.links.erase(spec.links.begin() + 1);
+  expect_matches_reference(spec, "two islands");
+  EXPECT_EQ(spec.diameter(), -1);
+  EXPECT_FALSE(spec.multi_hop());
+  EXPECT_EQ(spec.validate().message(), "topology is disconnected");
+
+  // A full mesh over all but one isolated node: every linked pair is one
+  // hop apart, yet the spec is disconnected, so still not multi-hop.
+  TopologySpec mesh = default_fig5_topology();
+  mesh.nodes.push_back({7, "island", NodeRole::kRelay, true});
+  expect_matches_reference(mesh, "mesh plus island");
+  EXPECT_FALSE(mesh.multi_hop());
+}
+
+TEST(TopologySpecReference, MalformedLinksKeepTheirErrors) {
+  TopologySpec duplicate = line_topology(5);
+  duplicate.links.push_back({duplicate.links[1].b, duplicate.links[1].a, 0.0});
+  EXPECT_EQ(duplicate.validate().message(),
+            "duplicate link " + std::to_string(duplicate.links[1].b) + "-" +
+                std::to_string(duplicate.links[1].a));
+  // A duplicated link adds no hop: the analysis still sees the chain.
+  EXPECT_EQ(duplicate.diameter(), reference_diameter(duplicate));
+  EXPECT_TRUE(duplicate.multi_hop());
+
+  // A fully meshed spec whose every link is listed twice stays single-hop.
+  TopologySpec doubled = default_fig5_topology();
+  const std::vector<TopologyLink> links = doubled.links;
+  doubled.links.insert(doubled.links.end(), links.begin(), links.end());
+  EXPECT_EQ(doubled.diameter(), 1);
+  EXPECT_FALSE(doubled.multi_hop());
+
+  TopologySpec unknown = line_topology(5);
+  unknown.links.push_back({unknown.nodes[2].id, 99, 0.0});
+  EXPECT_EQ(unknown.validate().message(), "link references unknown node 99");
+  unknown.links.back() = {98, unknown.nodes[2].id, 0.0};
+  EXPECT_EQ(unknown.validate().message(), "link references unknown node 98");
+
+  TopologySpec self = line_topology(5);
+  self.links.push_back({3, 3, 0.0});
+  EXPECT_EQ(self.validate().message(), "link endpoints must differ (node 3)");
 }
 
 TEST(TopologySpecValidation, ParseNodeResolvesNamesAndIds) {
