@@ -52,17 +52,20 @@ int main() {
   // --- pairwise clock error vs sync period (drives guard sizing) -----------
   std::cout << "\npairwise clock error (40 ppm vs -40 ppm crystals):\n";
   std::cout << "  sync period     p99 error    max error\n";
+  double p99_at_1s = 0.0, max_at_1s = 0.0;
   for (int period_ms : {100, 500, 1000, 5000, 10000}) {
     sim::Simulator s2(99);
     TimeSyncParams p2 = params;
     p2.period = util::Duration::millis(period_ms);
     TimeSync sync2(s2, p2);
-    NodeClock a(40.0), b(-40.0);
+    NodeClock a(40.0), b(-40.0), sampler(0.0);
     sync2.attach(1, a);
     sync2.attach(2, b);
     util::Samples errors_us;
-    // Sample the pairwise error just before each pulse (worst point).
-    sync2.attach(3, a, [&](util::Duration) {
+    // Sample the pairwise error just before each pulse (worst point): the
+    // sampler's on_pulse runs at the pulse instant, before any reception of
+    // that pulse takes effect. Its own clock only keeps it a subscriber.
+    sync2.attach(3, sampler, [&](util::Duration) {
       const auto now = s2.now();
       errors_us.add(std::fabs(
           static_cast<double>((a.local_time(now) - b.local_time(now)).ns())) /
@@ -73,13 +76,20 @@ int main() {
     std::cout << "  " << std::setw(8) << period_ms << " ms" << std::setw(11)
               << errors_us.percentile(0.99) << " us" << std::setw(10)
               << errors_us.max() << " us\n";
+    if (period_ms == 1000) {
+      p99_at_1s = errors_us.percentile(0.99);
+      max_at_1s = errors_us.max();
+    }
     report.scenario("pairwise_clock_error_" + std::to_string(period_ms) + "ms")
         .param("sync_period_ms", period_ms)
         .param("drift_ppm_a", 40)
         .param("drift_ppm_b", -40)
         .metric("error_us", errors_us, "us");
   }
-  std::cout << "\nRT-Link's 200 us guard absorbs the 1 s-period error budget\n"
-               "(jitter + 80 ppm relative drift over one period).\n";
+  // The budget is jitter plus 80 ppm relative drift over one period.
+  const auto fits = [](double us) { return us <= 200.0 ? "within" : "beyond"; };
+  std::cout << "\nRT-Link's 200 us guard vs the 1 s-period error just before a "
+               "pulse:\n  p99 " << p99_at_1s << " us is " << fits(p99_at_1s)
+            << " it, max " << max_at_1s << " us is " << fits(max_at_1s) << " it.\n";
   return report.write() ? 0 : 1;
 }

@@ -4,6 +4,10 @@
 // exist exactly because of the error this models.
 #pragma once
 
+#include <cstdint>
+#include <stdexcept>
+
+#include "sim/simulator.hpp"
 #include "util/time.hpp"
 
 namespace evm::net {
@@ -19,6 +23,7 @@ class NodeClock {
 
   /// Local reading at true time `global`.
   util::TimePoint local_time(util::TimePoint global) const {
+    resolve();
     const double scaled =
         static_cast<double>((global - epoch_).ns()) * (1.0 + drift_ppm_ * 1e-6);
     return local_epoch_ + util::Duration(static_cast<std::int64_t>(scaled));
@@ -32,23 +37,57 @@ class NodeClock {
   /// Inverse mapping: the true time at which this clock will read `local`.
   /// Used when a node schedules a wakeup for a local-time slot boundary.
   util::TimePoint global_for(util::TimePoint local) const {
+    resolve();
     const double scaled =
         static_cast<double>((local - local_epoch_).ns()) / (1.0 + drift_ppm_ * 1e-6);
     return epoch_ + util::Duration(static_cast<std::int64_t>(scaled));
   }
 
-  /// Discipline the clock: the node believes true time is `reference` right
-  /// now (at true time `global`). Time-sync beacons call this with
-  /// reference = beacon timestamp + reception jitter.
+  /// Discipline the clock now: the node believes true time is `reference`
+  /// at true time `global`. A reception still pending stays pending.
   void discipline(util::TimePoint global, util::TimePoint reference) {
+    resolve();
     epoch_ = global;
     local_epoch_ = reference;
   }
 
+  /// Time-sync reception, applied lazily: the clock disciplines itself to
+  /// `reference` at true time `at` as if an event keyed (at, seq) had run,
+  /// where `seq` came from sim.reserve_sequence(). Reads resolve it against
+  /// sim.has_dispatched(at, seq), so each sees the state that event would
+  /// have left; `sim` must therefore outlive the clock's reads. At most one
+  /// reception may be pending: a second one before the first has taken
+  /// effect throws std::logic_error.
+  void receive(const sim::Simulator& sim, util::TimePoint at, std::uint64_t seq,
+               util::TimePoint reference) {
+    resolve();
+    if (pending_seq_ != 0) {
+      throw std::logic_error(
+          "NodeClock: time-sync reception before the previous one took effect");
+    }
+    sim_ = &sim;
+    pending_at_ = at;
+    pending_seq_ = seq;
+    pending_reference_ = reference;
+  }
+
  private:
+  void resolve() const {
+    if (pending_seq_ != 0 && sim_->has_dispatched(pending_at_, pending_seq_)) {
+      epoch_ = pending_at_;
+      local_epoch_ = pending_reference_;
+      pending_seq_ = 0;
+    }
+  }
+
   double drift_ppm_;
-  util::TimePoint epoch_;        // true time of last discipline
-  util::TimePoint local_epoch_;  // local reading assigned at that instant
+  mutable util::TimePoint epoch_;        // true time of last discipline
+  mutable util::TimePoint local_epoch_;  // local reading assigned at that instant
+  // Pending reception (pending_seq_ == 0: none); applied by resolve().
+  const sim::Simulator* sim_ = nullptr;
+  util::TimePoint pending_at_;
+  mutable std::uint64_t pending_seq_ = 0;
+  util::TimePoint pending_reference_;
 };
 
 }  // namespace evm::net

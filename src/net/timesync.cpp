@@ -1,11 +1,19 @@
 #include "net/timesync.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace evm::net {
 
 TimeSync::TimeSync(sim::Simulator& sim, TimeSyncParams params)
-    : sim_(sim), params_(params) {}
+    : sim_(sim), params_(params) {
+  if (params_.period <= params_.jitter_max) {
+    throw std::invalid_argument(
+        "TimeSync: period must exceed jitter_max, or a reception could still "
+        "be pending at the next pulse");
+  }
+}
 
 void TimeSync::attach(NodeId id, NodeClock& clock,
                       std::function<void(util::Duration)> on_pulse) {
@@ -17,11 +25,18 @@ void TimeSync::detach(NodeId id) { subscribers_.erase(id); }
 void TimeSync::start() {
   if (running_) return;
   running_ = true;
-  // First pulse at the next period boundary so frame 0 starts disciplined.
-  sim_.schedule_after(util::Duration::zero(), [this] { emit_pulse(); });
+  // First pulse immediately so frame 0 starts disciplined.
+  util::TimePoint first = sim_.now();
+  if (pulses_ > 0) {
+    first = std::max(first, last_pulse_ + params_.jitter_max + util::Duration(1));
+  }
+  next_pulse_ = sim_.schedule_at(first, [this] { emit_pulse(); });
 }
 
-void TimeSync::stop() { running_ = false; }
+void TimeSync::stop() {
+  running_ = false;
+  sim_.cancel(next_pulse_);
+}
 
 util::Duration TimeSync::draw_jitter() {
   // Detection latency: positive, roughly half-normal, hard-capped by the
@@ -34,9 +49,9 @@ util::Duration TimeSync::draw_jitter() {
 }
 
 void TimeSync::emit_pulse() {
-  if (!running_) return;
   ++pulses_;
   const util::TimePoint nominal = sim_.now();
+  last_pulse_ = nominal;
   for (auto& [id, sub] : subscribers_) {
     (void)id;
     if (sim_.rng().bernoulli(params_.miss_probability)) {
@@ -45,14 +60,12 @@ void TimeSync::emit_pulse() {
     }
     const util::Duration jitter = draw_jitter();
     // The node detects the pulse `jitter` late but stamps it with the
-    // nominal pulse time, so its clock ends up `jitter` behind truth.
-    Subscriber sub_copy = sub;  // survive unsubscribe during callback
-    sim_.schedule_after(jitter, [this, sub_copy, nominal, jitter] {
-      sub_copy.clock->discipline(sim_.now(), nominal);
-      if (sub_copy.on_pulse) sub_copy.on_pulse(jitter);
-    });
+    // nominal pulse time, so its clock ends up `jitter` behind truth. The
+    // reception takes the sequence number its own event would have taken.
+    sub.clock->receive(sim_, nominal + jitter, sim_.reserve_sequence(), nominal);
+    if (sub.on_pulse) sub.on_pulse(jitter);
   }
-  sim_.schedule_after(params_.period, [this] { emit_pulse(); });
+  next_pulse_ = sim_.schedule_after(params_.period, [this] { emit_pulse(); });
 }
 
 }  // namespace evm::net

@@ -3,6 +3,10 @@
 // every node the same pulse within <150 µs. We model the pulse train, the
 // per-node reception jitter and occasional missed pulses; nodes discipline
 // their drifting crystals from it (see NodeClock).
+//
+// A pulse is one event. Each reception is handed to its clock as a pending
+// (when, reserved seq) occurrence that the clock applies on its next read,
+// so receptions cost no events yet order exactly as if each were one.
 #pragma once
 
 #include <functional>
@@ -16,6 +20,8 @@
 namespace evm::net {
 
 struct TimeSyncParams {
+  /// Pulse period; must exceed jitter_max (TimeSync's constructor checks),
+  /// so every reception lands before the next pulse.
   util::Duration period = util::Duration::seconds(1);
   /// Std-dev of per-node pulse detection latency (AM receiver + ISR).
   util::Duration jitter_sigma = util::Duration::micros(40);
@@ -27,15 +33,25 @@ struct TimeSyncParams {
 
 class TimeSync {
  public:
+  /// Throws std::invalid_argument unless params.period > params.jitter_max.
   TimeSync(sim::Simulator& sim, TimeSyncParams params = {});
 
-  /// Register a node's clock for disciplining. `on_pulse` (optional) fires
-  /// after the clock update with the measured jitter of that reception.
+  /// Register a node's clock for disciplining; a clock may be attached under
+  /// one id only. `on_pulse` (optional) fires at the pulse instant, inside
+  /// the pulse event and before any reception of that pulse has taken
+  /// effect, with the jitter drawn for this node's reception. It is not
+  /// called for a missed pulse and must not call back into this TimeSync.
   void attach(NodeId id, NodeClock& clock,
               std::function<void(util::Duration jitter)> on_pulse = {});
+  /// Stop disciplining `id` from the next pulse on; a reception already
+  /// handed to its clock still takes effect.
   void detach(NodeId id);
 
+  /// Emit a pulse now, then every period. A restart after stop() waits
+  /// until jitter_max after the previous pulse, so that pulse's receptions
+  /// have all taken effect first.
   void start();
+  /// Cancel the next pulse; start() resumes the train.
   void stop();
 
   const TimeSyncParams& params() const { return params_; }
@@ -57,6 +73,8 @@ class TimeSync {
   std::size_t pulses_ = 0;
   std::size_t missed_ = 0;
   bool running_ = false;
+  sim::EventHandle next_pulse_;
+  util::TimePoint last_pulse_;
 };
 
 }  // namespace evm::net

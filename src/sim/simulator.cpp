@@ -211,6 +211,8 @@ void Simulator::dispatch(EventNode* node) {
   node->id = 0;  // cancel-of-already-dispatched is a no-op from here on
   --live_count_;
   now_ = node->when;
+  frontier_when_ = node->when;
+  frontier_seq_ = node->seq;
   ++dispatched_;
   node->fn();  // may schedule or cancel freely; this node is detached
   release_node(node);
@@ -224,7 +226,11 @@ std::size_t Simulator::run_until(TimePoint until) {
     dispatch(node);
     ++count;
   }
-  if (now_ < until) now_ = until;
+  if (now_ <= until) {
+    now_ = until;
+    frontier_when_ = until;
+    frontier_seq_ = ~0ull;
+  }
   return count;
 }
 
@@ -234,6 +240,8 @@ std::size_t Simulator::run_all() {
     dispatch(node);
     ++count;
   }
+  frontier_when_ = now_;
+  frontier_seq_ = ~0ull;
   return count;
 }
 

@@ -20,6 +20,13 @@
 // sequence is assigned at schedule time — i.e. simultaneous events run in
 // insertion order. This is byte-identical to the binary-heap engine it
 // replaces; the calendar changes the cost model, never the order.
+//
+// Lazily applied occurrences share that order. A component may take a
+// sequence number with reserve_sequence() instead of scheduling an event,
+// and apply its effect on the next read that finds has_dispatched() true
+// for that (when, seq) key. Every read then sees exactly the state an event
+// scheduled at that point would have left, exact-nanosecond ties included
+// (time-sync pulse receptions, see net::NodeClock, work this way).
 #pragma once
 
 #include <cassert>
@@ -106,6 +113,18 @@ class Simulator {
   /// Dispatch exactly one event if present; returns false when queue empty.
   bool step();
 
+  /// Consume the sequence number the next schedule_at would have taken,
+  /// without scheduling anything (see the ordering contract above).
+  std::uint64_t reserve_sequence() { return next_sequence_++; }
+  /// True once an event keyed (when, seq) would already have dispatched.
+  /// Compares against the key of the event being dispatched; after step()
+  /// against the key of the event it ran, and after run_until(until) or
+  /// run_all() against (now, +inf), since those drain every event at now.
+  bool has_dispatched(TimePoint when, std::uint64_t seq) const {
+    return when < frontier_when_ ||
+           (when == frontier_when_ && seq <= frontier_seq_);
+  }
+
   std::size_t pending_events() const { return live_count_; }
   std::size_t dispatched_events() const { return dispatched_; }
   /// High-water mark of live (non-cancelled) pending events over the run so
@@ -182,6 +201,10 @@ class Simulator {
   std::vector<EventNode*> free_nodes_;
 
   std::uint64_t next_sequence_ = 1;
+  // Key of the latest dispatch (see has_dispatched); seq ~0 once a run has
+  // drained every event at frontier_when_.
+  TimePoint frontier_when_;
+  std::uint64_t frontier_seq_ = 0;
   std::uint64_t next_id_ = 1;
   std::size_t live_count_ = 0;  // pending minus cancelled-in-place
   std::size_t dispatched_ = 0;

@@ -243,6 +243,79 @@ TEST(Simulator, PoolReuseAfterHeavyChurnStaysOrdered) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
+// --- Lazily applied occurrences (reserve_sequence / has_dispatched) -------
+
+TEST(Simulator, ReserveSequenceTakesExactlyOneScheduleSlot) {
+  Simulator sim;
+  const std::uint64_t first = sim.reserve_sequence();
+  sim.schedule_at(TimePoint(10), [] {});
+  const std::uint64_t second = sim.reserve_sequence();
+  EXPECT_EQ(second, first + 2);  // the event in between took first + 1
+  EXPECT_EQ(sim.reserve_sequence(), second + 1);
+  EXPECT_EQ(sim.pending_events(), 1u);  // reserving schedules nothing
+}
+
+TEST(Simulator, HasDispatchedDuringDispatchOrdersByWhenThenSeq) {
+  Simulator sim;
+  const TimePoint t(100);
+  std::uint64_t lazy = 0;
+  std::vector<bool> seen;
+  const auto check = [&] { seen.push_back(sim.has_dispatched(t, lazy)); };
+  sim.schedule_at(TimePoint(50), check);
+  sim.schedule_at(t, check);
+  // `lazy` sits between the two events at t, as an event scheduled here would.
+  lazy = sim.reserve_sequence();
+  sim.schedule_at(t, check);
+  sim.schedule_at(TimePoint(150), check);
+  sim.run_all();
+  EXPECT_EQ(seen, (std::vector<bool>{false, false, true, true}));
+}
+
+TEST(Simulator, HasDispatchedAfterStepUsesTheLastEventsKey) {
+  Simulator sim;
+  const TimePoint t(10);
+  EXPECT_FALSE(sim.has_dispatched(TimePoint::zero(), sim.reserve_sequence()));
+  sim.schedule_at(t, [] {});
+  const std::uint64_t lazy = sim.reserve_sequence();
+  sim.schedule_at(t, [] {});
+  ASSERT_TRUE(sim.step());
+  EXPECT_FALSE(sim.has_dispatched(t, lazy));  // the second event at t is next
+  ASSERT_TRUE(sim.step());
+  EXPECT_TRUE(sim.has_dispatched(t, lazy));
+  EXPECT_FALSE(sim.has_dispatched(TimePoint(11), 0));
+}
+
+TEST(Simulator, HasDispatchedAfterRunUntilCoversTheWholeHorizon) {
+  Simulator sim;
+  const TimePoint t(10);
+  sim.schedule_at(t, [] {});
+  const std::uint64_t lazy = sim.reserve_sequence();
+  sim.run_until(TimePoint(9));
+  EXPECT_FALSE(sim.has_dispatched(t, lazy));
+  sim.run_until(t);
+  // Every event at t would have run by now, whatever its sequence number.
+  EXPECT_TRUE(sim.has_dispatched(t, lazy));
+  EXPECT_TRUE(sim.has_dispatched(t, ~0ull));
+  EXPECT_FALSE(sim.has_dispatched(TimePoint(11), 0));
+  // A horizon in the past moves nothing back.
+  sim.run_until(TimePoint(5));
+  EXPECT_TRUE(sim.has_dispatched(t, lazy));
+  // Quiet time counts too: nothing was scheduled between 10 and 40.
+  sim.run_until(TimePoint(40));
+  EXPECT_TRUE(sim.has_dispatched(TimePoint(40), ~0ull));
+}
+
+TEST(Simulator, HasDispatchedAfterRunAllCoversNow) {
+  Simulator sim;
+  const std::uint64_t lazy = sim.reserve_sequence();
+  sim.schedule_at(TimePoint(20), [] {});
+  const std::uint64_t later = sim.reserve_sequence();
+  sim.run_all();
+  EXPECT_TRUE(sim.has_dispatched(TimePoint(20), lazy));
+  EXPECT_TRUE(sim.has_dispatched(TimePoint(20), later));
+  EXPECT_FALSE(sim.has_dispatched(TimePoint(21), later));
+}
+
 // --- Trace ---------------------------------------------------------------
 
 TEST(Trace, RecordsAndLooksUp) {

@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "net/clock.hpp"
 #include "net/timesync.hpp"
+#include "util/rng.hpp"
 
 namespace evm::net {
 namespace {
@@ -141,6 +149,256 @@ TEST(TimeSync, DetachStopsDisciplining) {
   // 10 s of undisciplined 1000 ppm drift = 10 ms error.
   const auto err = clock.local_time(sim.now()) - sim.now();
   EXPECT_GT(std::abs(err.us()), 5000);
+}
+
+TEST(NodeClock, ReceptionTakesEffectAtItsOwnEventKey) {
+  sim::Simulator sim(1);
+  NodeClock clock(100.0);
+  const util::TimePoint at(1'000'000);
+  const util::TimePoint reference(900'000);
+  std::vector<std::int64_t> reads;
+  auto read = [&] { reads.push_back(clock.local_time(sim.now()).ns()); };
+  sim.schedule_at(at, read);
+  clock.receive(sim, at, sim.reserve_sequence(), reference);
+  sim.schedule_at(at, read);
+  sim.run_all();
+  ASSERT_EQ(reads.size(), 2u);
+  EXPECT_EQ(reads[0], 1'000'100);  // undisciplined: 1 ms at +100 ppm
+  EXPECT_EQ(reads[1], reference.ns());
+}
+
+TEST(NodeClock, SecondPendingReceptionIsRejected) {
+  sim::Simulator sim(1);
+  NodeClock clock(0.0);
+  clock.receive(sim, util::TimePoint(100), sim.reserve_sequence(), util::TimePoint(0));
+  EXPECT_THROW(clock.receive(sim, util::TimePoint(200), sim.reserve_sequence(),
+                             util::TimePoint(0)),
+               std::logic_error);
+  // Once the first has taken effect, the next one is welcome.
+  sim.run_until(util::TimePoint(100));
+  EXPECT_NO_THROW(clock.receive(sim, util::TimePoint(300), sim.reserve_sequence(),
+                                util::TimePoint(0)));
+}
+
+TEST(TimeSync, RejectsPeriodNotAboveJitterMax) {
+  sim::Simulator sim(1);
+  TimeSyncParams params;
+  params.jitter_max = util::Duration::micros(150);
+  params.period = params.jitter_max;
+  EXPECT_THROW(TimeSync(sim, params), std::invalid_argument);
+  params.period = util::Duration::micros(100);
+  EXPECT_THROW(TimeSync(sim, params), std::invalid_argument);
+  params.period = params.jitter_max + util::Duration(1);
+  EXPECT_NO_THROW(TimeSync(sim, params));
+}
+
+TEST(TimeSync, ClockAttachedTwiceIsRejected) {
+  // Two subscribers on one clock would leave two receptions pending on it.
+  sim::Simulator sim(1);
+  TimeSync sync(sim, {});
+  NodeClock clock(0.0);
+  sync.attach(1, clock);
+  sync.attach(2, clock);
+  sync.start();
+  EXPECT_THROW(sim.run_until(util::TimePoint::zero()), std::logic_error);
+}
+
+TEST(TimeSync, OnPulseFiresAtThePulseBeforeItsReception) {
+  sim::Simulator sim(3);
+  TimeSyncParams params;
+  params.period = util::Duration::millis(100);
+  TimeSync sync(sim, params);
+  const double drift_ppm = 500.0;
+  NodeClock clock(drift_ppm);
+  std::vector<util::TimePoint> pulse_at;
+  std::vector<util::Duration> jitters;
+  std::vector<std::int64_t> local_at_pulse;
+  sync.attach(1, clock, [&](util::Duration jitter) {
+    pulse_at.push_back(sim.now());
+    jitters.push_back(jitter);
+    local_at_pulse.push_back(clock.local_time(sim.now()).ns());
+  });
+  sync.start();
+  sim.run_until(util::TimePoint::zero() + util::Duration::millis(350));
+  ASSERT_EQ(pulse_at.size(), 4u);
+  EXPECT_EQ(local_at_pulse[0], 0);
+  for (std::size_t k = 1; k < pulse_at.size(); ++k) {
+    EXPECT_EQ(pulse_at[k] - pulse_at[k - 1], params.period);
+    // The previous pulse's reception has landed, this pulse's has not: the
+    // clock reads the previous nominal time plus drifted time since then.
+    const util::Duration since = params.period - jitters[k - 1];
+    const auto drifted = static_cast<std::int64_t>(
+        static_cast<double>(since.ns()) * (1.0 + drift_ppm * 1e-6));
+    EXPECT_EQ(local_at_pulse[k], pulse_at[k - 1].ns() + drifted) << "pulse " << k;
+  }
+}
+
+TEST(TimeSync, StopThenRestartWithinOnePeriodKeepsOnePulseTrain) {
+  sim::Simulator sim(10);
+  TimeSyncParams params;
+  params.period = util::Duration::millis(100);
+  TimeSync sync(sim, params);
+  NodeClock clock(0.0);
+  std::vector<util::TimePoint> pulse_at;
+  sync.attach(1, clock, [&](util::Duration) { pulse_at.push_back(sim.now()); });
+  sync.start();
+  const auto ms = [](int n) { return util::TimePoint::zero() + util::Duration::millis(n); };
+  sim.run_until(ms(250));  // pulses at 0, 100, 200
+  sync.stop();
+  sync.start();  // 50 ms after the last pulse: the train restarts now
+  sim.run_until(ms(1000));
+  // 250, 350, ..., 950 after the restart; the pre-stop chain is gone.
+  EXPECT_EQ(sync.pulses_emitted(), 3u + 8u);
+  ASSERT_EQ(pulse_at.size(), 11u);
+  EXPECT_EQ(pulse_at[3], ms(250));
+  for (std::size_t i = 4; i < pulse_at.size(); ++i) {
+    EXPECT_EQ(pulse_at[i] - pulse_at[i - 1], params.period);
+  }
+}
+
+TEST(TimeSync, RestartWaitsOutThePreviousPulsesReceptions) {
+  sim::Simulator sim(11);
+  TimeSyncParams params;
+  params.period = util::Duration::millis(100);
+  params.jitter_max = util::Duration::micros(150);
+  TimeSync sync(sim, params);
+  NodeClock clock(0.0);
+  std::vector<util::TimePoint> pulse_at;
+  sync.attach(1, clock, [&](util::Duration) { pulse_at.push_back(sim.now()); });
+  sync.start();
+  const auto last = util::TimePoint::zero() + util::Duration::millis(100);
+  sim.run_until(last + util::Duration::micros(10));
+  sync.stop();
+  sync.start();
+  sim.run_until(last + util::Duration::millis(150));
+  ASSERT_EQ(pulse_at.size(), 4u);
+  EXPECT_EQ(pulse_at[2], last + params.jitter_max + util::Duration(1));
+  EXPECT_EQ(pulse_at[3], pulse_at[2] + params.period);
+}
+
+// --- Reference: the event-per-reception model ------------------------------
+//
+// TimeSync once scheduled one event per reception, which disciplined the
+// clock when it ran. EagerTimeSync keeps that model, with the same draws in
+// the same order, so a run under either must read every clock identically.
+
+class EagerTimeSync {
+ public:
+  EagerTimeSync(sim::Simulator& sim, TimeSyncParams params)
+      : sim_(sim), params_(params) {}
+  void attach(NodeId id, NodeClock& clock, std::function<void(util::Duration)> hook) {
+    subscribers_[id] = Subscriber{&clock, std::move(hook)};
+  }
+  void detach(NodeId id) { subscribers_.erase(id); }
+  void start() { sim_.schedule_after(util::Duration::zero(), [this] { emit_pulse(); }); }
+
+ private:
+  struct Subscriber {
+    NodeClock* clock;
+    std::function<void(util::Duration)> hook;
+  };
+  void emit_pulse() {
+    const util::TimePoint nominal = sim_.now();
+    for (auto& [id, sub] : subscribers_) {
+      (void)id;
+      if (sim_.rng().bernoulli(params_.miss_probability)) continue;
+      double ns = std::abs(
+          sim_.rng().normal(0.0, static_cast<double>(params_.jitter_sigma.ns())));
+      ns = std::min(ns, static_cast<double>(params_.jitter_max.ns()));
+      const util::Duration jitter(static_cast<std::int64_t>(ns));
+      NodeClock* clock = sub.clock;
+      sim_.schedule_after(jitter, [this, clock, nominal] {
+        clock->discipline(sim_.now(), nominal);
+      });
+      if (sub.hook) sub.hook(jitter);
+    }
+    sim_.schedule_after(params_.period, [this] { emit_pulse(); });
+  }
+
+  sim::Simulator& sim_;
+  TimeSyncParams params_;
+  std::map<NodeId, Subscriber> subscribers_;
+};
+
+struct ProbeRun {
+  std::vector<std::int64_t> reads;
+  std::vector<util::TimePoint> receptions;
+  std::size_t dispatched = 0;
+};
+
+/// Four clocks under `Sync`, 20% missed pulses, node 2 detached 1 ns after
+/// a pulse (its reception of that pulse still lands). Every probe reads
+/// every clock. `early` probes are scheduled before the run, so one at a
+/// reception instant runs before that reception; each on_pulse schedules
+/// a probe at its reception instant, which runs just after it.
+template <typename Sync>
+ProbeRun probe_run(const std::vector<util::TimePoint>& early) {
+  sim::Simulator sim(31);
+  TimeSyncParams params;
+  params.period = util::Duration::millis(10);
+  params.jitter_sigma = util::Duration::micros(60);
+  params.jitter_max = util::Duration::micros(150);
+  params.miss_probability = 0.2;
+  Sync sync(sim, params);
+  std::array<NodeClock, 4> clocks{NodeClock(35.0), NodeClock(-20.0),
+                                  NodeClock(400.0), NodeClock(-350.0)};
+  ProbeRun run;
+  const auto probe = [&] {
+    const util::TimePoint now = sim.now();
+    for (const NodeClock& clock : clocks) {
+      run.reads.push_back(now.ns());
+      run.reads.push_back(clock.local_time(now).ns());
+      run.reads.push_back(clock.error(now).ns());
+      run.reads.push_back(clock.global_for(now).ns());
+    }
+  };
+  for (const util::TimePoint t : early) sim.schedule_at(t, probe);
+  for (std::size_t i = 0; i < clocks.size(); ++i) {
+    sync.attach(static_cast<NodeId>(i + 1), clocks[i], [&](util::Duration jitter) {
+      run.receptions.push_back(sim.now() + jitter);
+      sim.schedule_after(jitter, probe);
+    });
+  }
+  const auto ms = [](int n) { return util::TimePoint::zero() + util::Duration::millis(n); };
+  sim.schedule_at(ms(200) + util::Duration(1), [&] { sync.detach(2); });
+  sync.start();
+  // Reads between run_until calls, at a pulse instant and just after one.
+  sim.run_until(ms(300));
+  probe();
+  sim.run_until(ms(300) + util::Duration::micros(40));
+  probe();
+  sim.run_until(ms(500));
+  probe();
+  run.dispatched = sim.dispatched_events();
+  return run;
+}
+
+TEST(TimeSync, LazyReceptionsReadExactlyLikeOneEventPerReception) {
+  const auto horizon = util::TimePoint::zero() + util::Duration::millis(500);
+  // Pass 1 learns the reception instants; the probes read nothing the
+  // pulse draws depend on, so they repeat in pass 2.
+  const ProbeRun learn = probe_run<EagerTimeSync>({});
+  std::vector<util::TimePoint> early;
+  for (const util::TimePoint t : learn.receptions) {
+    if (t <= horizon) early.push_back(t);
+  }
+  util::Rng instants(77);
+  for (int i = 0; i < 400; ++i) {
+    early.emplace_back(static_cast<std::int64_t>(instants.uniform(0.0, 5e8)));
+  }
+
+  const ProbeRun eager = probe_run<EagerTimeSync>(early);
+  const ProbeRun lazy = probe_run<TimeSync>(early);
+  ASSERT_GT(eager.receptions.size(), 100u);
+  EXPECT_EQ(lazy.receptions, eager.receptions);
+  ASSERT_EQ(lazy.reads.size(), eager.reads.size());
+  for (std::size_t i = 0; i < eager.reads.size(); ++i) {
+    ASSERT_EQ(lazy.reads[i], eager.reads[i]) << "read " << i;
+  }
+  // The only difference: receptions no longer cost an event each.
+  std::size_t landed = 0;
+  for (const util::TimePoint t : eager.receptions) landed += t <= horizon ? 1 : 0;
+  EXPECT_EQ(eager.dispatched - lazy.dispatched, landed);
 }
 
 }  // namespace
