@@ -283,8 +283,16 @@ void TestbedBuilder::collect_metrics(obs::Metrics& metrics) {
   auto& slots_hist = metrics.histogram("net.rtlink.slots_used_per_node");
   auto& mac_enqueued = metrics.counter("net.mac.enqueued");
   auto& mac_drops = metrics.counter("net.mac.queue_drops");
+  auto& listen_ns = metrics.counter("net.radio.listen_ns");
+  auto& tx_ns = metrics.counter("net.radio.tx_ns");
   for (auto& [id, node] : nodes_) {
     (void)id;
+    const net::Radio& radio = node->radio();
+    listen_ns.add(static_cast<std::uint64_t>(
+        (radio.time_in(net::RadioState::kIdleListen) +
+         radio.time_in(net::RadioState::kRx))
+            .ns()));
+    tx_ns.add(static_cast<std::uint64_t>(radio.time_in(net::RadioState::kTx).ns()));
     frames.add(node->mac().frames_run());
     slots.add(node->mac().slots_used());
     slots_hist.record(static_cast<double>(node->mac().slots_used()));

@@ -287,6 +287,14 @@ TEST(ObsIntegration, MetricsSnapshotIsByteStableAcrossIdenticalRuns) {
   EXPECT_NE(first.metrics().find_counter("net.route.broadcast_relays"), nullptr);
   EXPECT_NE(first.metrics().find_counter("scenario.invariant_checks"), nullptr);
   EXPECT_GT(first.metrics().find_counter("sim.events_dispatched")->value, 0u);
+  // Radio energy: every node listens in its neighbours' slots and keys its
+  // transmitter in its own.
+  const obs::Counter* listen = first.metrics().find_counter("net.radio.listen_ns");
+  const obs::Counter* tx = first.metrics().find_counter("net.radio.tx_ns");
+  ASSERT_NE(listen, nullptr);
+  ASSERT_NE(tx, nullptr);
+  EXPECT_GT(listen->value, tx->value);
+  EXPECT_GT(tx->value, 0u);
 }
 
 TEST(ObsIntegration, PhaseTimersAndSimSlotsAreFilled) {
