@@ -17,6 +17,18 @@ util::Json rx_args(NodeId src, std::uint8_t type) {
   return args;
 }
 
+/// Set or clear `id`'s bit in a per-cell bitmask.
+void set_bit(std::vector<std::uint64_t>& cells, NodeId id, bool on) {
+  const std::size_t cell = static_cast<std::size_t>(id) >> 6;
+  if (cell >= cells.size()) return;  // never attached: nothing to track
+  const std::uint64_t bit = std::uint64_t{1} << (id & 63);
+  if (on) {
+    cells[cell] |= bit;
+  } else {
+    cells[cell] &= ~bit;
+  }
+}
+
 }  // namespace
 
 Medium::Medium(sim::Simulator& sim, Topology& topology)
@@ -28,6 +40,7 @@ void Medium::ensure_node_capacity(NodeId id) {
   const std::size_t cells = (static_cast<std::size_t>(id) >> 6) + 1;
   if (heard_.size() < cells) heard_.resize(cells);
   if (listening_.size() < cells) listening_.resize(cells, 0);
+  if (pending_.size() < cells) pending_.resize(cells, 0);
 }
 
 void Medium::attach(Radio& radio) {
@@ -41,6 +54,7 @@ void Medium::detach(NodeId id) {
   if (static_cast<std::size_t>(id) < radios_.size()) radios_[id] = nullptr;
   topology_.remove_node(id);
   note_listening(id, false);
+  note_pending(id, false);
   // Forget its energy everywhere: it no longer jams or busies anyone, and
   // nothing already on the air reaches it. Clearing its audibility bit in
   // its own cell severs the latter; erasing it as a sender severs the
@@ -64,14 +78,11 @@ void Medium::detach(NodeId id) {
 }
 
 void Medium::note_listening(NodeId id, bool listening) {
-  const std::size_t cell = static_cast<std::size_t>(id) >> 6;
-  if (cell >= listening_.size()) return;  // never attached: nothing to track
-  const std::uint64_t bit = std::uint64_t{1} << (id & 63);
-  if (listening) {
-    listening_[cell] |= bit;
-  } else {
-    listening_[cell] &= ~bit;
-  }
+  set_bit(listening_, id, listening);
+}
+
+void Medium::note_pending(NodeId id, bool pending) {
+  set_bit(pending_, id, pending);
 }
 
 void Medium::begin_transmission(Radio& sender, const Packet& packet,
@@ -99,6 +110,14 @@ void Medium::begin_energy(Radio& sender, const Packet* packet,
   for (const Topology::CellMask& c : cells) {
     ensure_node_capacity(static_cast<NodeId>((c.cell << 6) | 63));
     note_energy(c.cell, sender_id, start, end, c.mask);
+    // Bring lagging listening bits up to date first (deferred changes).
+    std::uint64_t stale = c.mask & pending_[c.cell];
+    while (stale != 0) {
+      const int bit = std::countr_zero(stale);
+      stale &= stale - 1;
+      Radio* rx = radio_at(static_cast<NodeId>((c.cell << 6) | bit));
+      if (rx != nullptr) rx->resolve();
+    }
     std::uint64_t wake = c.mask & listening_[c.cell];
     while (wake != 0) {
       const int bit = std::countr_zero(wake);

@@ -22,7 +22,10 @@
 // Cells and bits iterate in ascending NodeId order, which is exactly the
 // cached adjacency order: the onset loss draws consume the RNG stream in
 // the same sequence as the per-neighbor engine, keeping every checked-in
-// scenario baseline byte-identical.
+// scenario baseline byte-identical. A radio whose MAC defers state changes
+// (see Radio::defer) may lag its listening bit; each cell also keeps a
+// pending bitmask of such radios, and an onset applies the audible ones'
+// due changes before it reads the listening bitmask.
 #pragma once
 
 #include <cstdint>
@@ -79,6 +82,9 @@ class Medium {
   /// listening bitmask stays current. Idempotent per state; cheap enough to
   /// sit on the radio's state-transition path.
   void note_listening(NodeId id, bool listening);
+  /// Radio::defer and friends report here whether the radio holds deferred
+  /// changes, so an onset knows whose listening bit may be stale.
+  void note_pending(NodeId id, bool pending);
 
   /// Replace the link's i.i.d. loss with a Gilbert-Elliott burst process
   /// (losses then arrive in bursts, the realistic fading behaviour).
@@ -142,6 +148,7 @@ class Medium {
   std::vector<Radio*> radios_;
   std::vector<std::vector<CellEnergy>> heard_;  // onset energy per cell
   std::vector<std::uint64_t> listening_;        // listening radios per cell
+  std::vector<std::uint64_t> pending_;          // radios with deferred changes
   std::map<std::pair<NodeId, NodeId>, std::unique_ptr<GilbertElliott>> burst_;
   std::vector<std::unique_ptr<Delivery>> pool_;  // every Delivery ever made
   std::vector<Delivery*> free_;                  // the idle subset of pool_

@@ -49,8 +49,11 @@ RtLink::RtLink(sim::Simulator& sim, Radio& radio, NodeClock& clock,
                RtLinkSchedule& schedule, std::size_t queue_capacity)
     : Mac(sim, radio, queue_capacity), clock_(clock), schedule_(schedule) {}
 
+RtLink::~RtLink() { radio_.clear_deferred(); }
+
 void RtLink::start() {
   if (running_) return;
+  radio_.resolve();  // changes due before the restart still see it stopped
   running_ = true;
   radio_.set_state(RadioState::kOff);
   radio_.set_receive_handler([this](const Packet& p) { deliver_up(p); });
@@ -58,9 +61,27 @@ void RtLink::start() {
 }
 
 void RtLink::stop() {
+  radio_.resolve();  // changes due before the stop still see it running
   running_ = false;
   sim_.cancel(frame_event_);
   radio_.set_state(RadioState::kOff);
+}
+
+util::Status RtLink::send(Packet packet) {
+  util::Status status = Mac::send(std::move(packet));
+  if (tx_pending()) {
+    // A pop deferred as idle now has a packet to send: promote it, under the
+    // key it reserved, unless that key has already passed (then the slot
+    // was empty when it came, and the deferred kOff has been applied).
+    for (const IdlePop& idle : idle_pops_) {
+      if (radio_.withdraw(idle.seq)) {
+        sim_.schedule_reserved(idle.at, idle.seq,
+                               [this, slot = idle.slot] { pop(slot); });
+      }
+    }
+    idle_pops_.clear();
+  }
+  return status;
 }
 
 util::Duration RtLink::worst_case_access_delay() const {
@@ -126,8 +147,14 @@ void RtLink::begin_frame() {
   }
 
   refresh_timeline();
+  // A read: applies the last frame's due changes, so the radio's pending
+  // list stays about one frame long even if nothing else reads it.
+  radio_.resolve();
+  std::erase_if(idle_pops_, [this](const IdlePop& idle) {
+    return sim_.has_dispatched(idle.at, idle.seq);
+  });
 
-  // Find the next frame boundary in *local* time, then schedule the merged
+  // Find the next frame boundary in *local* time, then key the merged
   // timeline's actions at local boundaries mapped back through the drifting
   // clock. Clock error relative to other nodes is therefore physically
   // reflected in when this node keys its transmitter.
@@ -137,26 +164,32 @@ void RtLink::begin_frame() {
   const util::TimePoint local_frame_start =
       util::TimePoint(frame_index * frame_len.ns());
 
+  const bool queued = tx_pending();
   for (const SlotAction& action : timeline_) {
     const util::TimePoint local_at =
         local_frame_start + schedule_.slot_length() * action.slot;
     const util::TimePoint global_at = clock_.global_for(local_at);
     if (global_at <= sim_.now()) continue;
+    const std::uint64_t seq = sim_.reserve_sequence();
     switch (action.kind) {
-      case SlotAction::kTx:
-        sim_.schedule_at(global_at, [this, slot = action.slot] { run_tx_slot(slot); });
+      case SlotAction::kTx: {
+        // Guard interval absorbs clock error between us and our listeners:
+        // transmit `guard` into the slot so receivers that woke slightly
+        // late still catch the preamble.
+        const util::TimePoint pop_at = global_at + schedule_.guard();
+        if (queued) {
+          sim_.schedule_reserved(pop_at, seq, [this, slot = action.slot] { pop(slot); });
+        } else {
+          radio_.defer(pop_at, seq, DeferredChange::kOff, &running_);
+          idle_pops_.push_back(IdlePop{pop_at, seq, action.slot});
+        }
         break;
+      }
       case SlotAction::kListenStart:
-        sim_.schedule_at(global_at, [this] {
-          if (running_) radio_.set_state(RadioState::kIdleListen);
-        });
+        radio_.defer(global_at, seq, DeferredChange::kListen, &running_);
         break;
       case SlotAction::kSleep:
-        sim_.schedule_at(global_at, [this] {
-          if (running_ && !radio_.transmitting()) {
-            radio_.set_state(RadioState::kOff);
-          }
-        });
+        radio_.defer(global_at, seq, DeferredChange::kSleep, &running_);
         break;
     }
   }
@@ -167,30 +200,24 @@ void RtLink::begin_frame() {
       [this] { begin_frame(); });
 }
 
-void RtLink::run_tx_slot(int slot) {
+void RtLink::pop(int slot) {
   if (!running_) return;
-  // Guard interval absorbs clock error between us and our listeners:
-  // transmit `guard` into the slot so receivers that woke slightly late
-  // still catch the preamble.
-  sim_.schedule_after(schedule_.guard(), [this, slot] {
-    if (!running_) return;
-    auto packet = dequeue();
-    if (!packet.has_value()) {
-      radio_.set_state(RadioState::kOff);  // nothing to send: sleep through
-      return;
-    }
-    radio_.set_state(RadioState::kIdleListen);
-    ++stats_.sent;
-    ++slots_used_;
-    if (trace_ != nullptr) {
-      util::Json args = util::Json::object();
-      args.set("slot", static_cast<std::int64_t>(slot));
-      trace_->complete(id(), "net.rtlink", "tx", sim_.now(),
-                       schedule_.slot_length() - schedule_.guard(),
-                       std::move(args));
-    }
-    radio_.transmit(*packet, [this] { radio_.set_state(RadioState::kOff); });
-  });
+  auto packet = dequeue();
+  if (!packet.has_value()) {
+    radio_.set_state(RadioState::kOff);  // nothing to send: sleep through
+    return;
+  }
+  radio_.set_state(RadioState::kIdleListen);
+  ++stats_.sent;
+  ++slots_used_;
+  if (trace_ != nullptr) {
+    util::Json args = util::Json::object();
+    args.set("slot", static_cast<std::int64_t>(slot));
+    trace_->complete(id(), "net.rtlink", "tx", sim_.now(),
+                     schedule_.slot_length() - schedule_.guard(),
+                     std::move(args));
+  }
+  radio_.transmit(*packet, [this] { radio_.set_state(RadioState::kOff); });
 }
 
 }  // namespace evm::net

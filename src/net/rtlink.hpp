@@ -6,14 +6,23 @@
 // in nor need to listen to — that is where the lifetime advantage over
 // B-MAC / S-MAC comes from.
 //
-// Hot-path note (ROADMAP item 1): the slot table is a flat vector indexed by
-// slot, and each node caches a *merged timeline* of its frame — one entry
-// per TX slot plus one per listen/sleep transition instead of two events per
-// slot per frame. A 300-node world with a mostly-listening schedule costs
-// each node a handful of events per frame, not O(slots). The timeline is
-// rebuilt when `RtLinkSchedule::version()` moves, which pins down the
-// documented contract: schedule mutations take effect at the next frame
-// boundary.
+// Hot-path note (ROADMAP items 1 and 2): the slot table is a flat vector
+// indexed by slot, and each node caches a *merged timeline* of its frame —
+// one entry per TX slot plus one per listen/sleep transition, not one per
+// slot. The timeline is rebuilt when `RtLinkSchedule::version()` moves,
+// which pins down the documented contract: schedule mutations take effect
+// at the next frame boundary.
+//
+// Only two kinds of action are events. Each node-frame is one (the frame
+// boundary), and so is each TX slot that may pop a packet. At the frame
+// boundary every timeline action reserves the sequence number its event
+// would have taken, in timeline order. Listen starts and sleeps only change
+// this node's radio, so they go to Radio::defer keyed (instant, seq), and
+// every read of the radio applies them as the events would have. A TX
+// slot's guard-delayed pop is keyed (slot start + guard, seq). It is a real
+// event when the queue holds a packet at the frame boundary. Otherwise it is
+// a deferred kOff (what an empty pop does), and send() promotes it to a real
+// event under the same key if a packet arrives before that key passes.
 #pragma once
 
 #include <map>
@@ -74,9 +83,12 @@ class RtLink final : public Mac {
  public:
   RtLink(sim::Simulator& sim, Radio& radio, NodeClock& clock,
          RtLinkSchedule& schedule, std::size_t queue_capacity = 32);
+  /// Drops the radio changes still deferred (they read running_).
+  ~RtLink() override;
 
   void start() override;
   void stop() override;
+  util::Status send(Packet packet) override;
 
   /// The shared slot schedule (the EVM's parametric slot-assignment
   /// operation mutates it through this).
@@ -112,11 +124,20 @@ class RtLink final : public Mac {
     int slot;
     Kind kind;
   };
+  /// A TX slot's pop deferred as an idle kOff at its frame boundary, kept
+  /// so send() can promote it to a real event under the same key.
+  struct IdlePop {
+    util::TimePoint at;
+    std::uint64_t seq;
+    int slot;
+  };
 
   void begin_frame();
   /// Recompute the merged timeline from the schedule if its version moved.
   void refresh_timeline();
-  void run_tx_slot(int slot);
+  /// A TX slot's pop, `guard` into the slot: transmit the next queued
+  /// packet, or sleep through the slot.
+  void pop(int slot);
 
   NodeClock& clock_;
   RtLinkSchedule& schedule_;
@@ -124,6 +145,7 @@ class RtLink final : public Mac {
   std::size_t frames_ = 0;
   std::size_t slots_used_ = 0;
   std::vector<SlotAction> timeline_;      // per-frame actions, ascending slot
+  std::vector<IdlePop> idle_pops_;
   std::uint64_t timeline_version_ = ~0ull;
   sim::EventHandle frame_event_;
 };

@@ -46,10 +46,11 @@ void Simulator::release_node(EventNode* node) {
   free_nodes_.push_back(node);
 }
 
-EventHandle Simulator::enqueue(EventNode* node, TimePoint when) {
+EventHandle Simulator::enqueue(EventNode* node, TimePoint when,
+                               std::uint64_t seq) {
   assert(when >= now_ && "cannot schedule events in the past");
   node->when = when;
-  node->seq = next_sequence_++;
+  node->seq = seq;
   node->id = next_id_++;
   node->slot = static_cast<std::uint64_t>(when.ns()) >> kSlotShiftBits;
   node->cancelled = false;

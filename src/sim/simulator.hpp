@@ -26,12 +26,17 @@
 // and apply its effect on the next read that finds has_dispatched() true
 // for that (when, seq) key. Every read then sees exactly the state an event
 // scheduled at that point would have left, exact-nanosecond ties included
-// (time-sync pulse receptions, see net::NodeClock, work this way).
+// (time-sync pulse receptions, see net::NodeClock, and RT-Link's radio
+// changes, see net::Radio, work this way). An occurrence that turns out to
+// need a real event after all (an RT-Link TX slot that finds a packet
+// queued) becomes one through schedule_reserved(), under the key it already
+// holds, so promoting it moves nothing in the order.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/event_fn.hpp"
@@ -92,7 +97,21 @@ class Simulator {
   EventHandle schedule_at(TimePoint when, F&& fn) {
     EventNode* node = acquire_node();
     node->fn.emplace(std::forward<F>(fn));
-    return enqueue(node, when);
+    return enqueue(node, when, next_sequence_++);
+  }
+  /// Schedule `fn` under a key whose seq came from reserve_sequence(): it
+  /// dispatches exactly where an event scheduled at reservation time would
+  /// have. Throws std::logic_error if that key has already dispatched or
+  /// `seq` was never handed out.
+  template <typename F>
+  EventHandle schedule_reserved(TimePoint when, std::uint64_t seq, F&& fn) {
+    if (seq >= next_sequence_ || has_dispatched(when, seq)) {
+      throw std::logic_error(
+          "Simulator::schedule_reserved: key already dispatched or never reserved");
+    }
+    EventNode* node = acquire_node();
+    node->fn.emplace(std::forward<F>(fn));
+    return enqueue(node, when, seq);
   }
   /// Schedule `fn` to run `delay` from now.
   template <typename F>
@@ -159,7 +178,7 @@ class Simulator {
 
   EventNode* acquire_node();
   void release_node(EventNode* node);
-  EventHandle enqueue(EventNode* node, TimePoint when);
+  EventHandle enqueue(EventNode* node, TimePoint when, std::uint64_t seq);
   void push_current(EventNode* node);
   /// Next live event without dispatching it (advances the calendar window
   /// over empty slots and reclaims cancelled nodes in passing).

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <memory>
+#include <type_traits>
+#include <vector>
 
 #include "net/medium.hpp"
 #include "net/rtlink.hpp"
@@ -238,6 +242,375 @@ TEST_F(RtLinkFixture, DriftWithinGuardStillDelivers) {
   }
   run_for(util::Duration::seconds(2));
   EXPECT_GE(received, 18);
+}
+
+TEST_F(RtLinkFixture, SendPromotesAnIdleTxSlotOfTheCurrentFrame) {
+  // The queue is empty at the frame boundary, so the TX slot's pop is held
+  // as a deferred sleep; a packet queued before the slot must still go out
+  // in it, not a frame later.
+  schedule.assign_tx(4, 1);
+  RtLink& a = make_node(1, 0.0);
+  RtLink& b = make_node(2, 0.0);
+  std::vector<util::TimePoint> received;
+  b.set_receive_handler([&](const Packet&) { received.push_back(sim.now()); });
+  a.start();
+  b.start();
+  run_for(util::Duration::millis(41));  // frame 1 began at 40 ms, slot 4 at 60 ms
+  Packet p;
+  p.dst = 2;
+  ASSERT_TRUE(a.send(p));
+  run_for(util::Duration::millis(40));
+  ASSERT_EQ(received.size(), 1u);
+  EXPECT_LT(received[0], util::TimePoint::zero() + util::Duration::millis(61));
+  EXPECT_EQ(a.slots_used(), 1u);
+}
+
+TEST_F(RtLinkFixture, StaleSlotActionsFollowTheRunningFlagAtTheirInstant) {
+  // Node 2 listens in slot 0 only: radio on at 40 ms, off at 45 ms. No one
+  // transmits, so nothing reads the radios until the end.
+  schedule.assign_tx(0, 1);
+  make_node(1, 0.0);
+  RtLink& b = make_node(2, 0.0);
+  RtLink& c = make_node(3, 0.0);
+  b.start();
+  c.start();
+  // b is stopped through the whole listen run and restarts in the same
+  // frame: its frame's actions find it stopped and do nothing.
+  sim.schedule_at(util::TimePoint::zero() + util::Duration::millis(39), [&] { b.stop(); });
+  sim.schedule_at(util::TimePoint::zero() + util::Duration::millis(47), [&] { b.start(); });
+  // c restarts before the run: the stale actions of its first chain find
+  // it running again and turn the radio on and off as scheduled.
+  sim.schedule_at(util::TimePoint::zero() + util::Duration::millis(38), [&] { c.stop(); });
+  sim.schedule_at(util::TimePoint::zero() + util::Duration::millis(39), [&] { c.start(); });
+  run_for(util::Duration::millis(60));
+  EXPECT_EQ(b.radio().time_in(RadioState::kIdleListen), util::Duration::zero());
+  EXPECT_EQ(c.radio().time_in(RadioState::kIdleListen), util::Duration::millis(5));
+}
+
+// --- Reference: one event per slot action -----------------------------------
+//
+// RtLink once scheduled an event for every listen start, sleep and TX-slot
+// pop. EagerRtLink keeps that model, with each pop scheduled at the frame
+// boundary in timeline order, which is where RtLink reserves the pop's key.
+// A run under either must read every radio identically at every instant and
+// deliver the same packets at the same times.
+
+class EagerRtLink final : public Mac {
+ public:
+  EagerRtLink(sim::Simulator& sim, Radio& radio, NodeClock& clock,
+              RtLinkSchedule& schedule)
+      : Mac(sim, radio), clock_(clock), schedule_(schedule) {}
+
+  void start() override {
+    if (running_) return;
+    running_ = true;
+    radio_.set_state(RadioState::kOff);
+    radio_.set_receive_handler([this](const Packet& p) { deliver_up(p); });
+    begin_frame();
+  }
+  void stop() override {
+    running_ = false;
+    sim_.cancel(frame_event_);
+    radio_.set_state(RadioState::kOff);
+  }
+
+  /// Every instant at which this link scheduled a slot action, and the
+  /// subset that are pops.
+  std::vector<util::TimePoint> action_instants;
+  std::vector<util::TimePoint> pop_instants;
+
+ private:
+  enum class Action { kPop, kListen, kSleep };
+
+  void begin_frame() {
+    if (!running_) return;
+    const util::Duration frame_len = schedule_.frame_length();
+    const util::TimePoint local_now = clock_.local_time(sim_.now());
+    const util::TimePoint local_start((local_now.ns() / frame_len.ns() + 1) *
+                                      frame_len.ns());
+    const auto act = [&](int slot, Action action) {
+      const util::TimePoint at =
+          clock_.global_for(local_start + schedule_.slot_length() * slot);
+      if (at <= sim_.now()) return;
+      switch (action) {
+        case Action::kPop:
+          action_instants.push_back(at + schedule_.guard());
+          pop_instants.push_back(at + schedule_.guard());
+          sim_.schedule_at(at + schedule_.guard(), [this] { pop(); });
+          return;
+        case Action::kListen:
+          sim_.schedule_at(at, [this] {
+            if (running_) radio_.set_state(RadioState::kIdleListen);
+          });
+          break;
+        case Action::kSleep:
+          sim_.schedule_at(at, [this] {
+            if (running_ && !radio_.transmitting()) radio_.set_state(RadioState::kOff);
+          });
+          break;
+      }
+      action_instants.push_back(at);
+    };
+    // The merged timeline: one action per TX slot and per listen-run edge; a
+    // run that flows into our TX slot or wraps into the next frame's opening
+    // listen/TX run emits no sleep.
+    const int slots = schedule_.slots_per_frame();
+    bool listening = false;
+    for (int slot = 0; slot < slots; ++slot) {
+      if (schedule_.tx_of(slot) == id()) {
+        listening = false;
+        act(slot, Action::kPop);
+      } else if (schedule_.should_listen(slot, id())) {
+        if (!listening) act(slot, Action::kListen);
+        listening = true;
+      } else if (listening) {
+        act(slot, Action::kSleep);
+        listening = false;
+      }
+    }
+    if (listening && schedule_.tx_of(0) != id() && !schedule_.should_listen(0, id())) {
+      act(slots, Action::kSleep);
+    }
+    frame_event_ = sim_.schedule_at(
+        clock_.global_for(local_start + frame_len - schedule_.slot_length() / 2),
+        [this] { begin_frame(); });
+  }
+
+  void pop() {
+    if (!running_) return;
+    auto packet = dequeue();
+    if (!packet.has_value()) {
+      radio_.set_state(RadioState::kOff);
+      return;
+    }
+    radio_.set_state(RadioState::kIdleListen);
+    ++stats_.sent;
+    radio_.transmit(*packet, [this] { radio_.set_state(RadioState::kOff); });
+  }
+
+  NodeClock& clock_;
+  RtLinkSchedule& schedule_;
+  sim::EventHandle frame_event_;
+};
+
+struct ScriptedSend {
+  util::TimePoint at;
+  NodeId from;
+  NodeId dst;
+  std::size_t bytes;
+};
+
+struct LinkRun {
+  std::vector<std::int64_t> reads;
+  std::vector<double> charge;      // consumed_mah, compared exactly
+  std::vector<std::int64_t> rx;    // (time, receiver, src, seq) per delivery
+  std::vector<util::TimePoint> action_instants;         // all nodes
+  std::vector<std::vector<util::TimePoint>> pop_instants;  // per node
+  std::size_t dispatched = 0;
+};
+
+util::TimePoint at_ms(double ms) {
+  return util::TimePoint::zero() + util::Duration::from_seconds(ms / 1000.0);
+}
+
+/// Four nodes on 2 ms slots, drifting clocks under time sync with jitter and
+/// missed pulses, random traffic (packets long enough to spill into the next
+/// slot), node 1 and node 2 owning two TX slots each, listener sets that
+/// make wrapping runs and a frame-edge sleep. Links stop and restart inside
+/// one frame, inside node 3's guard interval, and across frames, and node 3
+/// keys its radio directly so that its listen run's sleep falls
+/// mid-transmission. Every link draws loss from its own burst process, so
+/// the simulator's stream (time-sync draws) and with it every action instant
+/// is independent of the traffic. `probes` each read every radio, then
+/// schedule a second read at the same instant, which runs after everything
+/// already keyed there.
+template <typename Link>
+LinkRun link_run(const std::vector<ScriptedSend>& sends,
+                 const std::vector<util::TimePoint>& probes) {
+  sim::Simulator sim(23);
+  Topology topo = Topology::full_mesh({1, 2, 3, 4});
+  Medium medium(sim, topo);
+  for (NodeId a = 1; a <= 4; ++a) {
+    for (NodeId b = a + 1; b <= 4; ++b) medium.set_burst_loss(a, b, {}, 10u * a + b);
+  }
+  RtLinkSchedule schedule(8, util::Duration::millis(2));
+  schedule.assign_tx(0, 1);
+  schedule.set_listeners(0, {2, 3});
+  schedule.assign_tx(1, 2);
+  schedule.set_listeners(1, {1, 3});
+  schedule.assign_tx(3, 3);
+  schedule.assign_tx(4, 1);
+  schedule.assign_tx(5, 4);
+  schedule.set_listeners(5, {2});
+  schedule.assign_tx(7, 2);  // everyone listens: nodes 3 and 1 wrap, node 4 sleeps at the edge
+  TimeSyncParams params;
+  params.period = util::Duration::millis(100);
+  params.miss_probability = 0.1;
+  TimeSync sync(sim, params);
+  std::array<NodeClock, 4> clocks{NodeClock(35.0), NodeClock(-40.0), NodeClock(0.0),
+                                  NodeClock(-350.0)};
+  std::vector<std::unique_ptr<Radio>> radios;
+  std::vector<std::unique_ptr<Link>> links;
+  LinkRun run;
+  for (NodeId id = 1; id <= 4; ++id) {
+    radios.push_back(std::make_unique<Radio>(sim, medium, id));
+    links.push_back(std::make_unique<Link>(sim, *radios.back(), clocks[id - 1], schedule));
+    links.back()->set_receive_handler([&run, &sim, id](const Packet& p) {
+      run.rx.insert(run.rx.end(), {sim.now().ns(), id, p.src, p.seq});
+    });
+    sync.attach(id, clocks[id - 1]);
+  }
+
+  const auto probe = [&] {
+    run.reads.push_back(sim.now().ns());
+    for (const auto& radio : radios) {
+      run.reads.push_back(static_cast<std::int64_t>(radio->state()));
+      run.reads.push_back(radio->listening() ? 1 : 0);
+      for (RadioState s : {RadioState::kOff, RadioState::kIdleListen, RadioState::kRx,
+                           RadioState::kTx}) {
+        run.reads.push_back(radio->time_in(s).ns());
+      }
+      run.charge.push_back(radio->consumed_mah());
+    }
+  };
+  for (const util::TimePoint t : probes) {
+    sim.schedule_at(t, [&] {
+      probe();
+      sim.schedule_at(sim.now(), probe);
+    });
+  }
+  for (const ScriptedSend& send : sends) {
+    sim.schedule_at(send.at, [&links, send] {
+      Packet p;
+      p.dst = send.dst;
+      p.payload.assign(send.bytes, 0xA5);
+      (void)links[send.from - 1]->send(p);
+    });
+  }
+  const auto at = [&sim](double ms, auto fn) { sim.schedule_at(at_ms(ms), fn); };
+  // Node 2: stop and restart inside the frame [192, 208) ms.
+  at(193.5, [&] { links[1]->stop(); });
+  at(205.5, [&] { links[1]->start(); });
+  // Node 3 (undrifted: its slot 3 pop lands 200-350 us into the slot):
+  // queue a packet, then stop and restart inside the guard, before the pop.
+  at(321.0, [&] { (void)links[2]->send(Packet{}); });
+  at(326.1, [&] { links[2]->stop(); });
+  at(326.18, [&] { links[2]->start(); });
+  // ... and stop inside the guard, restarting only next frame.
+  at(481.0, [&] { (void)links[2]->send(Packet{}); });
+  at(486.1, [&] { links[2]->stop(); });
+  at(500.0, [&] { links[2]->start(); });
+  // Node 4 sits out three frames.
+  at(700.0, [&] { links[3]->stop(); });
+  at(760.0, [&] { links[3]->start(); });
+  // Radios keyed directly. Node 3 listens through slots 7, 0 and 1 and
+  // sleeps at slot 2 (4 ms): a 100-byte burst (3.7 ms on the air) keyed at
+  // 1.5 ms is still on the air then. Keyed at 2.9 ms, it also outlasts the
+  // slot-3 pop (6.2 ms), which turns the radio off mid-burst when the queue
+  // is empty. Node 4 wakes for slot 3, which node 3 mostly leaves idle, so
+  // at 6.5 ms nothing has read its radio since it woke.
+  const struct {
+    double ms;
+    std::size_t node;
+    std::size_t bytes;
+  } bursts[] = {{641.5, 2, 100}, {882.9, 2, 100}, {962.9, 2, 100},
+                {1046.5, 3, 20}, {1126.5, 3, 20}};
+  for (const auto& burst : bursts) {
+    at(burst.ms, [&radios, burst] {
+      Packet p;
+      p.payload.assign(burst.bytes, 0x5A);
+      (void)radios[burst.node]->transmit(p);
+    });
+  }
+
+  sync.start();
+  for (auto& link : links) link->start();
+  // Reads between run_until calls too, one of them at an action instant.
+  sim.run_until(at_ms(600));
+  probe();
+  const auto later = std::find_if(probes.begin(), probes.end(),
+                                  [](util::TimePoint t) { return t > at_ms(600); });
+  if (later != probes.end()) {
+    sim.run_until(*later);
+    probe();
+  }
+  sim.run_until(at_ms(1200));
+  probe();
+  run.reads.push_back(static_cast<std::int64_t>(medium.delivered_count()));
+  run.reads.push_back(static_cast<std::int64_t>(medium.collision_count()));
+  run.reads.push_back(static_cast<std::int64_t>(medium.loss_count()));
+  for (const auto& link : links) {
+    run.reads.push_back(static_cast<std::int64_t>(link->stats().sent));
+    run.reads.push_back(static_cast<std::int64_t>(link->stats().enqueued));
+    if constexpr (std::is_same_v<Link, EagerRtLink>) {
+      run.action_instants.insert(run.action_instants.end(), link->action_instants.begin(),
+                                 link->action_instants.end());
+      run.pop_instants.push_back(link->pop_instants);
+    }
+  }
+  run.dispatched = sim.dispatched_events();
+  return run;
+}
+
+TEST(RtLinkLazy, SlotActionsReadExactlyLikeOneEventPerAction) {
+  const util::TimePoint horizon = at_ms(1200);
+  util::Rng draw(5);
+  std::vector<ScriptedSend> sends;
+  for (int i = 0; i < 250; ++i) {
+    // Node 3 is left out so that its queue is mostly empty (idle pops).
+    const NodeId senders[] = {1, 2, 4};
+    const NodeId from = senders[draw.uniform_int(0, 2)];
+    NodeId dst = static_cast<NodeId>(1 + draw.uniform_int(0, 3));
+    if (dst == from) dst = kBroadcast;
+    sends.push_back({at_ms(draw.uniform(0.0, 1200.0)), from, dst,
+                     static_cast<std::size_t>(draw.uniform_int(0, 90))});
+  }
+  // Node 1's slot-0 guard window: before, at and after its pop.
+  for (int frame = 1; frame < 75; frame += 2) {
+    sends.push_back({at_ms(16.0 * frame + draw.uniform(0.0, 0.4)), 1, 2, 20});
+  }
+
+  // Pass 1 learns the action instants; the traffic does not move them.
+  const LinkRun learn = link_run<EagerRtLink>(sends, {});
+  std::vector<util::TimePoint> probes;
+  for (const util::TimePoint t : learn.action_instants) {
+    if (t <= horizon) probes.push_back(t);
+  }
+  ASSERT_GT(probes.size(), 1000u);
+  // Sends exactly at some of each node's own pop instants: queued ahead of
+  // the pop, they must go out in that very slot.
+  for (NodeId id = 1; id <= 4; ++id) {
+    const std::vector<util::TimePoint>& pops = learn.pop_instants[id - 1];
+    for (std::size_t i = id; i < pops.size(); i += 9) {
+      sends.push_back({pops[i], id, kBroadcast, 10});
+    }
+  }
+  for (int i = 0; i < 400; ++i) {
+    probes.emplace_back(static_cast<std::int64_t>(draw.uniform(0.0, 1.2e9)));
+  }
+
+  const LinkRun eager = link_run<EagerRtLink>(sends, probes);
+  const LinkRun lazy = link_run<RtLink>(sends, probes);
+  EXPECT_EQ(eager.action_instants, learn.action_instants);
+  ASSERT_GT(eager.rx.size(), 200u);
+  EXPECT_EQ(lazy.rx, eager.rx);
+  ASSERT_EQ(lazy.reads.size(), eager.reads.size());
+  for (std::size_t i = 0; i < eager.reads.size(); ++i) {
+    ASSERT_EQ(lazy.reads[i], eager.reads[i]) << "read " << i;
+  }
+  ASSERT_EQ(lazy.charge.size(), eager.charge.size());
+  for (std::size_t i = 0; i < eager.charge.size(); ++i) {
+    ASSERT_EQ(lazy.charge[i], eager.charge[i]) << "charge read " << i;
+  }
+  EXPECT_LT(lazy.dispatched, eager.dispatched);
+
+  // Without probes nothing outside the stack reads a radio before the end:
+  // deliveries must still match (the medium applies due changes itself).
+  const LinkRun eager_quiet = link_run<EagerRtLink>(sends, {});
+  const LinkRun lazy_quiet = link_run<RtLink>(sends, {});
+  EXPECT_EQ(lazy_quiet.rx, eager_quiet.rx);
+  EXPECT_EQ(lazy_quiet.reads, eager_quiet.reads);
+  EXPECT_EQ(lazy_quiet.charge, eager_quiet.charge);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -314,6 +315,96 @@ TEST(Simulator, HasDispatchedAfterRunAllCoversNow) {
   EXPECT_TRUE(sim.has_dispatched(TimePoint(20), lazy));
   EXPECT_TRUE(sim.has_dispatched(TimePoint(20), later));
   EXPECT_FALSE(sim.has_dispatched(TimePoint(21), later));
+}
+
+// schedule_reserved: a key reserved earlier dispatches exactly where an event
+// scheduled at reservation time would have, wherever the calendar files it
+// (current-slot heap, ring bucket, overflow bucket), ties at `when` included.
+TEST(Simulator, ScheduleReservedDispatchesWhereAReservationTimeEventWould) {
+  const std::int64_t slot_ns = std::int64_t{1} << Simulator::kSlotShiftBits;
+  const std::int64_t window_ns = slot_ns * static_cast<std::int64_t>(Simulator::kRingSlots);
+  for (const std::int64_t at : {slot_ns / 2, 5 * slot_ns + 3, 3 * window_ns + 7}) {
+    SCOPED_TRACE(at);
+    const TimePoint w(at);
+    // Reference: the event is scheduled when the key is reserved.
+    std::vector<int> eager;
+    {
+      Simulator sim;
+      sim.schedule_at(w, [&] { eager.push_back(1); });
+      sim.schedule_at(w - Duration(1), [&] { eager.push_back(0); });
+      sim.schedule_at(w, [&] { eager.push_back(2); });
+      sim.schedule_at(w, [&] { eager.push_back(3); });
+      sim.schedule_at(w + Duration(1), [&] { eager.push_back(4); });
+      sim.run_all();
+    }
+    // Lazy: the same key is reserved, then scheduled once the rest is queued.
+    std::vector<int> lazy;
+    Simulator sim;
+    sim.schedule_at(w, [&] { lazy.push_back(1); });
+    sim.schedule_at(w - Duration(1), [&] { lazy.push_back(0); });
+    const std::uint64_t seq = sim.reserve_sequence();
+    sim.schedule_at(w, [&] { lazy.push_back(3); });
+    sim.schedule_at(w + Duration(1), [&] { lazy.push_back(4); });
+    sim.schedule_reserved(w, seq, [&] { lazy.push_back(2); });
+    EXPECT_EQ(sim.overflow_events(), at > window_ns ? 5u : 0u);
+    sim.run_all();
+    EXPECT_EQ(lazy, eager);
+    EXPECT_EQ(lazy, (std::vector<int>{0, 1, 2, 3, 4}));
+  }
+}
+
+// Promoting a key from inside a dispatch: from an event one nanosecond
+// before it, and from the event just ahead of it at the same instant.
+TEST(Simulator, ScheduleReservedFromADispatchKeepsTheReservedPlace) {
+  Simulator sim;
+  const TimePoint w(1000);
+  std::vector<int> order;
+  std::uint64_t early = 0;
+  std::uint64_t tied = 0;
+  sim.schedule_at(w - Duration(1), [&] {
+    order.push_back(0);
+    sim.schedule_reserved(w, early, [&] { order.push_back(1); });
+  });
+  early = sim.reserve_sequence();
+  sim.schedule_at(w, [&] {
+    order.push_back(2);
+    sim.schedule_reserved(w, tied, [&] { order.push_back(3); });
+  });
+  tied = sim.reserve_sequence();
+  sim.schedule_at(w, [&] { order.push_back(4); });
+  sim.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(Simulator, ScheduleReservedRejectsADispatchedKey) {
+  Simulator sim;
+  const TimePoint t(10);
+  const std::uint64_t seq = sim.reserve_sequence();
+  bool threw_in_dispatch = false;
+  // An event after the key at the same instant: the key has passed.
+  sim.schedule_at(t, [&] {
+    try {
+      sim.schedule_reserved(t, seq, [] {});
+    } catch (const std::logic_error&) {
+      threw_in_dispatch = true;
+    }
+  });
+  sim.step();
+  EXPECT_TRUE(threw_in_dispatch);
+  EXPECT_THROW(sim.schedule_reserved(t, seq, [] {}), std::logic_error);
+  EXPECT_THROW(sim.schedule_reserved(TimePoint(5), seq, [] {}), std::logic_error);
+  // After run_until(t) every key at t has passed, whatever its seq.
+  const std::uint64_t late = sim.reserve_sequence();
+  sim.run_until(t);
+  EXPECT_THROW(sim.schedule_reserved(t, late, [] {}), std::logic_error);
+  // A seq that reserve_sequence() never handed out is refused too.
+  EXPECT_THROW(sim.schedule_reserved(TimePoint(20), late + 1, [] {}), std::logic_error);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  // The key itself is still fine later on.
+  bool fired = false;
+  sim.schedule_reserved(TimePoint(11), late, [&] { fired = true; });
+  sim.run_all();
+  EXPECT_TRUE(fired);
 }
 
 // --- Trace ---------------------------------------------------------------
