@@ -19,6 +19,7 @@
 
 #include "cli_util.hpp"
 #include "farm/worker.hpp"
+#include "obs/phase_timer.hpp"
 #include "obs/trace_recorder.hpp"
 #include "scenario/baseline.hpp"
 #include "scenario/campaign.hpp"
@@ -351,6 +352,7 @@ int main(int argc, char** argv) {
   }
   if (spec_path.empty() || config.seeds == 0) return usage(argv[0]);
 
+  const obs::Stopwatch end_to_end;  // spec load to report written
   auto spec = scenario::ScenarioSpec::load_file(spec_path);
   if (!spec) {
     std::cerr << "error: " << spec.status().to_string() << "\n";
@@ -418,6 +420,13 @@ int main(int argc, char** argv) {
   }
 
   const util::Json report = scenario::campaign_report(*spec, config, result);
+  auto written = scenario::write_campaign_report(report, spec->name, out_dir);
+  if (!written) {
+    std::cerr << "error: " << written.status().to_string() << "\n";
+    return 1;
+  }
+  const double end_to_end_ms = end_to_end.elapsed_ms();
+
   if (const util::Json* aggregate = report.find("aggregate")) {
     std::cout << "\naggregate over " << result.ok_count() << "/"
               << result.runs.size() << " runs:\n";
@@ -433,7 +442,8 @@ int main(int argc, char** argv) {
   }
   if (const util::Json* timing = report.find("timing")) {
     std::cout << "  wall " << std::fixed << std::setprecision(0)
-              << timing->find("wall_ms")->as_double() << " ms, "
+              << timing->find("wall_ms")->as_double() << " ms, end_to_end "
+              << end_to_end_ms << " ms, "
               << timing->find("events_dispatched")->as_int() << " events, "
               << std::setprecision(0)
               << timing->find("sim_slots_per_sec")->as_double()
@@ -446,12 +456,6 @@ int main(int argc, char** argv) {
       std::cout << ", " << rate->as_double() << " sim slots/s in the run phase";
     }
     std::cout << "\n";
-  }
-
-  auto written = scenario::write_campaign_report(report, spec->name, out_dir);
-  if (!written) {
-    std::cerr << "error: " << written.status().to_string() << "\n";
-    return 1;
   }
   std::cout << "\n[campaign json] " << *written << "\n";
 
