@@ -244,47 +244,25 @@ TEST_F(RtLinkFixture, DriftWithinGuardStillDelivers) {
   EXPECT_GE(received, 18);
 }
 
-TEST_F(RtLinkFixture, SendPromotesAnIdleTxSlotOfTheCurrentFrame) {
-  // The queue is empty at the frame boundary, so the TX slot's pop is held
-  // as a deferred sleep; a packet queued before the slot must still go out
-  // in it, not a frame later.
-  schedule.assign_tx(4, 1);
-  RtLink& a = make_node(1, 0.0);
-  RtLink& b = make_node(2, 0.0);
-  std::vector<util::TimePoint> received;
-  b.set_receive_handler([&](const Packet&) { received.push_back(sim.now()); });
-  a.start();
-  b.start();
-  run_for(util::Duration::millis(41));  // frame 1 began at 40 ms, slot 4 at 60 ms
-  Packet p;
-  p.dst = 2;
-  ASSERT_TRUE(a.send(p));
-  run_for(util::Duration::millis(40));
-  ASSERT_EQ(received.size(), 1u);
-  EXPECT_LT(received[0], util::TimePoint::zero() + util::Duration::millis(61));
-  EXPECT_EQ(a.slots_used(), 1u);
-}
-
 TEST_F(RtLinkFixture, StaleSlotActionsFollowTheRunningFlagAtTheirInstant) {
-  // Node 2 listens in slot 0 only: radio on at 40 ms, off at 45 ms. No one
-  // transmits, so nothing reads the radios until the end.
+  // Nodes 2 and 3 listen in slots 0 and 4 of each frame: radio on at 40 ms,
+  // off at 45, on at 60, off at 65. Node 1 has nothing to send, so nothing
+  // reads the radios until the end.
   schedule.assign_tx(0, 1);
+  schedule.assign_tx(4, 1);
   make_node(1, 0.0);
   RtLink& b = make_node(2, 0.0);
   RtLink& c = make_node(3, 0.0);
   b.start();
   c.start();
-  // b is stopped through the whole listen run and restarts in the same
-  // frame: its frame's actions find it stopped and do nothing.
+  // b is stopped from 39 to 47 ms. The restart's frame starts at 80 ms; of
+  // the first frame's actions, those due while b was stopped do nothing and
+  // the later ones run as scheduled.
   sim.schedule_at(util::TimePoint::zero() + util::Duration::millis(39), [&] { b.stop(); });
   sim.schedule_at(util::TimePoint::zero() + util::Duration::millis(47), [&] { b.start(); });
-  // c restarts before the run: the stale actions of its first chain find
-  // it running again and turn the radio on and off as scheduled.
-  sim.schedule_at(util::TimePoint::zero() + util::Duration::millis(38), [&] { c.stop(); });
-  sim.schedule_at(util::TimePoint::zero() + util::Duration::millis(39), [&] { c.start(); });
-  run_for(util::Duration::millis(60));
-  EXPECT_EQ(b.radio().time_in(RadioState::kIdleListen), util::Duration::zero());
-  EXPECT_EQ(c.radio().time_in(RadioState::kIdleListen), util::Duration::millis(5));
+  run_for(util::Duration::millis(70));
+  EXPECT_EQ(b.radio().time_in(RadioState::kIdleListen), util::Duration::millis(5));
+  EXPECT_EQ(c.radio().time_in(RadioState::kIdleListen), util::Duration::millis(10));
 }
 
 // --- Reference: one event per slot action -----------------------------------

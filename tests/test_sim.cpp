@@ -400,7 +400,7 @@ TEST(Simulator, ScheduleReservedRejectsADispatchedKey) {
   // A seq that reserve_sequence() never handed out is refused too.
   EXPECT_THROW(sim.schedule_reserved(TimePoint(20), late + 1, [] {}), std::logic_error);
   EXPECT_EQ(sim.pending_events(), 0u);
-  // The key itself is still fine later on.
+  // The same seq under a later instant is a key that has not passed.
   bool fired = false;
   sim.schedule_reserved(TimePoint(11), late, [&] { fired = true; });
   sim.run_all();
