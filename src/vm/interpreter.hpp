@@ -53,7 +53,9 @@ class Interpreter {
   util::Status load_slots(std::span<const std::uint8_t> bytes);
 
   /// Register a runtime extension instruction. `slot` in [0, 0x80).
-  /// The handler manipulates the value stack directly.
+  /// The handler manipulates the value stack directly; leaving more than
+  /// ExecLimits::stack_cells cells fails the run with RESOURCE_EXHAUSTED.
+  /// A handler must not call run() on this interpreter.
   using ExtHandler = std::function<util::Status(std::vector<double>& stack)>;
   util::Status register_extension(std::uint8_t slot, std::string name, ExtHandler handler);
   bool has_extension(std::uint8_t slot) const;
@@ -66,15 +68,14 @@ class Interpreter {
   Environment& environment() { return env_; }
 
  private:
-  util::Status step(std::span<const std::uint8_t> code, std::size_t& pc,
-                    std::vector<double>& stack, std::vector<std::size_t>& rstack);
-
   Environment env_;
   ExecLimits limits_;
   std::array<double, kSlots> slots_{};
   std::array<ExtHandler, kExtSlots> extensions_{};
   std::array<std::string, kExtSlots> extension_names_{};
   ExecStats stats_;
+  std::vector<double> stack_;         // value stack, reused across runs
+  std::vector<std::size_t> rstack_;   // return stack, reused across runs
 };
 
 }  // namespace evm::vm

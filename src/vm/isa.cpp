@@ -1,78 +1,77 @@
 #include "vm/isa.hpp"
 
-#include <map>
+#include <array>
 
 namespace evm::vm {
 namespace {
 
 struct OpInfo {
+  Op op;
   const char* name;
   int operand_bytes;
 };
 
-const std::map<std::uint8_t, OpInfo>& table() {
-  static const std::map<std::uint8_t, OpInfo> t = {
-      {static_cast<std::uint8_t>(Op::kNop), {"nop", 0}},
-      {static_cast<std::uint8_t>(Op::kHalt), {"halt", 0}},
-      {static_cast<std::uint8_t>(Op::kPush), {"push", 8}},
-      {static_cast<std::uint8_t>(Op::kPushSmall), {"pushi", 2}},
-      {static_cast<std::uint8_t>(Op::kDup), {"dup", 0}},
-      {static_cast<std::uint8_t>(Op::kDrop), {"drop", 0}},
-      {static_cast<std::uint8_t>(Op::kSwap), {"swap", 0}},
-      {static_cast<std::uint8_t>(Op::kOver), {"over", 0}},
-      {static_cast<std::uint8_t>(Op::kRot), {"rot", 0}},
-      {static_cast<std::uint8_t>(Op::kAdd), {"add", 0}},
-      {static_cast<std::uint8_t>(Op::kSub), {"sub", 0}},
-      {static_cast<std::uint8_t>(Op::kMul), {"mul", 0}},
-      {static_cast<std::uint8_t>(Op::kDiv), {"div", 0}},
-      {static_cast<std::uint8_t>(Op::kNeg), {"neg", 0}},
-      {static_cast<std::uint8_t>(Op::kAbs), {"abs", 0}},
-      {static_cast<std::uint8_t>(Op::kMin), {"min", 0}},
-      {static_cast<std::uint8_t>(Op::kMax), {"max", 0}},
-      {static_cast<std::uint8_t>(Op::kClamp), {"clamp", 0}},
-      {static_cast<std::uint8_t>(Op::kEq), {"eq", 0}},
-      {static_cast<std::uint8_t>(Op::kLt), {"lt", 0}},
-      {static_cast<std::uint8_t>(Op::kGt), {"gt", 0}},
-      {static_cast<std::uint8_t>(Op::kLe), {"le", 0}},
-      {static_cast<std::uint8_t>(Op::kGe), {"ge", 0}},
-      {static_cast<std::uint8_t>(Op::kAnd), {"and", 0}},
-      {static_cast<std::uint8_t>(Op::kOr), {"or", 0}},
-      {static_cast<std::uint8_t>(Op::kNot), {"not", 0}},
-      {static_cast<std::uint8_t>(Op::kLoad), {"load", 1}},
-      {static_cast<std::uint8_t>(Op::kStore), {"store", 1}},
-      {static_cast<std::uint8_t>(Op::kSensor), {"sensor", 1}},
-      {static_cast<std::uint8_t>(Op::kActuate), {"actuate", 1}},
-      {static_cast<std::uint8_t>(Op::kSend), {"send", 1}},
-      {static_cast<std::uint8_t>(Op::kNow), {"now", 0}},
-      {static_cast<std::uint8_t>(Op::kJmp), {"jmp", 2}},
-      {static_cast<std::uint8_t>(Op::kJz), {"jz", 2}},
-      {static_cast<std::uint8_t>(Op::kJnz), {"jnz", 2}},
-      {static_cast<std::uint8_t>(Op::kCall), {"call", 2}},
-      {static_cast<std::uint8_t>(Op::kRet), {"ret", 0}},
-  };
-  return t;
+// The one opcode table: mnemonics, operand widths and, derived from it
+// below, the interpreter's flat operand-width lookup.
+constexpr OpInfo kOps[] = {
+    {Op::kNop, "nop", 0},       {Op::kHalt, "halt", 0},
+    {Op::kPush, "push", 8},     {Op::kPushSmall, "pushi", 2},
+    {Op::kDup, "dup", 0},       {Op::kDrop, "drop", 0},
+    {Op::kSwap, "swap", 0},     {Op::kOver, "over", 0},
+    {Op::kRot, "rot", 0},       {Op::kAdd, "add", 0},
+    {Op::kSub, "sub", 0},       {Op::kMul, "mul", 0},
+    {Op::kDiv, "div", 0},       {Op::kNeg, "neg", 0},
+    {Op::kAbs, "abs", 0},       {Op::kMin, "min", 0},
+    {Op::kMax, "max", 0},       {Op::kClamp, "clamp", 0},
+    {Op::kEq, "eq", 0},         {Op::kLt, "lt", 0},
+    {Op::kGt, "gt", 0},         {Op::kLe, "le", 0},
+    {Op::kGe, "ge", 0},         {Op::kAnd, "and", 0},
+    {Op::kOr, "or", 0},         {Op::kNot, "not", 0},
+    {Op::kLoad, "load", 1},     {Op::kStore, "store", 1},
+    {Op::kSensor, "sensor", 1}, {Op::kActuate, "actuate", 1},
+    {Op::kSend, "send", 1},     {Op::kNow, "now", 0},
+    {Op::kJmp, "jmp", 2},       {Op::kJz, "jz", 2},
+    {Op::kJnz, "jnz", 2},       {Op::kCall, "call", 2},
+    {Op::kRet, "ret", 0},
+};
+
+/// Operand width per core opcode (-1 = illegal), indexed by the raw byte.
+constexpr std::array<std::int8_t, kExtSlots> kOperandBytes = [] {
+  std::array<std::int8_t, kExtSlots> widths{};
+  widths.fill(-1);
+  for (const OpInfo& info : kOps) {
+    widths[static_cast<std::uint8_t>(info.op)] =
+        static_cast<std::int8_t>(info.operand_bytes);
+  }
+  return widths;
+}();
+
+const OpInfo* find(std::uint8_t opcode) {
+  for (const OpInfo& info : kOps) {
+    if (static_cast<std::uint8_t>(info.op) == opcode) return &info;
+  }
+  return nullptr;
 }
 
 }  // namespace
 
 int operand_bytes(std::uint8_t opcode) {
   if (opcode >= kExtSlots) return 0;  // extensions take operands on the stack
-  auto it = table().find(opcode);
-  return it == table().end() ? -1 : it->second.operand_bytes;
+  return kOperandBytes[opcode];
 }
 
 std::optional<std::string> mnemonic(std::uint8_t opcode) {
   if (opcode >= kExtSlots) {
     return "ext" + std::to_string(opcode - kExtSlots);
   }
-  auto it = table().find(opcode);
-  if (it == table().end()) return std::nullopt;
-  return std::string(it->second.name);
+  const OpInfo* info = find(opcode);
+  if (info == nullptr) return std::nullopt;
+  return std::string(info->name);
 }
 
 std::optional<std::uint8_t> opcode_of(const std::string& name) {
-  for (const auto& [code, info] : table()) {
-    if (name == info.name) return code;
+  for (const OpInfo& info : kOps) {
+    if (name == info.name) return static_cast<std::uint8_t>(info.op);
   }
   if (name.rfind("ext", 0) == 0 && name.size() > 3) {
     const int slot = std::stoi(name.substr(3));
