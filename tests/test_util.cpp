@@ -183,6 +183,29 @@ TEST(Crc, SingleBitFlipDetected) {
   }
 }
 
+TEST(Crc, Crc32MatchesBytewiseReferenceAtEveryAlignment) {
+  // The textbook one-bit-at-a-time reflected CRC-32, kept here as the
+  // reference the table-driven crc32 must reproduce.
+  auto reference = [](std::span<const std::uint8_t> data) {
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::uint8_t byte : data) {
+      c ^= byte;
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  Rng rng(99);
+  std::vector<std::uint8_t> buffer(308);
+  for (auto& b : buffer) b = static_cast<std::uint8_t>(rng.next_below(256));
+  const std::span<const std::uint8_t> all(buffer);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 300; ++length) {
+      const auto span = all.subspan(offset, length);
+      ASSERT_EQ(crc32(span), reference(span)) << "offset " << offset << " length " << length;
+    }
+  }
+}
+
 // --- Bytes -----------------------------------------------------------------------
 
 TEST(Bytes, RoundTripScalars) {
