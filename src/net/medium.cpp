@@ -99,6 +99,7 @@ void Medium::begin_energy(Radio& sender, const Packet* packet,
   const util::TimePoint start = sim_.now();
   const util::TimePoint end = start + air;
   const NodeId sender_id = sender.id();
+  max_air_ = std::max(max_air_, air);
 
   // Audibility is fixed here, at carrier onset: whoever is in range *now*
   // hears this energy for its whole airtime. One energy record per audible
@@ -200,7 +201,7 @@ void Medium::finish(Delivery* d) {
         }
         continue;
       }
-      if (interferers(neighbor, d->sender, d->start, d->end) > 0) {
+      if (interfered(neighbor, d->sender, d->start, d->end)) {
         ++collisions_;
         if (trace_ != nullptr) {
           trace_->instant(neighbor, "net.medium", "rx.collision", d->end,
@@ -227,29 +228,41 @@ void Medium::finish(Delivery* d) {
   release(d);
 }
 
-int Medium::interferers(NodeId listener, NodeId sender, util::TimePoint start,
+bool Medium::interfered(NodeId listener, NodeId sender, util::TimePoint start,
                         util::TimePoint end) const {
   const std::size_t cell = static_cast<std::size_t>(listener) >> 6;
-  if (cell >= heard_.size()) return 0;
+  if (cell >= heard_.size()) return false;
   const std::uint64_t bit = std::uint64_t{1} << (listener & 63);
-  int count = 0;
-  for (const CellEnergy& e : heard_[cell]) {
+  const std::vector<CellEnergy>& at_cell = heard_[cell];
+  // Newest first. Starts never decrease along the list and no record spans
+  // more than max_air_, so once a record's start is max_air_ or more before
+  // `start`, it and everything older ended by `start`.
+  for (auto it = at_cell.rbegin(); it != at_cell.rend(); ++it) {
+    const CellEnergy& e = *it;
+    if (e.start + max_air_ <= start) break;
     if ((e.mask & bit) == 0) continue;  // not audible at this listener
     if (e.sender == sender) continue;
     if (e.end <= start || e.start >= end) continue;  // no overlap
-    ++count;
+    return true;
   }
-  return count;
+  return false;
 }
 
 void Medium::note_energy(NodeId cell, NodeId sender, util::TimePoint start,
                          util::TimePoint end, std::uint64_t mask) {
   std::vector<CellEnergy>& at_cell = heard_[cell];
   // Lazy prune on append: a grace window keeps entries that queued
-  // end-of-airtime decisions may still consult.
+  // end-of-airtime decisions may still consult. A record that ended before
+  // `horizon` also started before it, and starts never decrease along the
+  // list, so every such record lies in the prefix that started before
+  // `horizon` (a record or two in steady state); the rest is left alone.
   const util::TimePoint horizon = start - util::Duration::seconds(1);
-  std::erase_if(at_cell,
-                [horizon](const CellEnergy& e) { return e.end < horizon; });
+  const auto prefix_end =
+      std::find_if(at_cell.begin(), at_cell.end(),
+                   [horizon](const CellEnergy& e) { return e.start >= horizon; });
+  at_cell.erase(std::remove_if(at_cell.begin(), prefix_end,
+                               [horizon](const CellEnergy& e) { return e.end < horizon; }),
+                prefix_end);
   at_cell.push_back(CellEnergy{sender, start, end, mask});
 }
 

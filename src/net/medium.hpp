@@ -121,12 +121,13 @@ class Medium {
   /// Run the delivery decision for a transmission whose airtime just ended,
   /// then return it to the pool.
   void finish(Delivery* d);
-  /// Number of *other* transmissions audible at `listener` overlapping
+  /// True if any *other* transmission audible at `listener` overlaps
   /// [start, end).
-  int interferers(NodeId listener, NodeId sender, util::TimePoint start,
+  bool interfered(NodeId listener, NodeId sender, util::TimePoint start,
                   util::TimePoint end) const;
   /// Record energy covering `mask` of `cell` for [start, end), pruning that
-  /// cell's expired entries in passing.
+  /// cell's expired entries in passing. Each cell's records stay in
+  /// non-decreasing `start` order (appended at onset, erased in place).
   void note_energy(NodeId cell, NodeId sender, util::TimePoint start,
                    util::TimePoint end, std::uint64_t mask);
   Radio* radio_at(NodeId id) const {
@@ -149,6 +150,9 @@ class Medium {
   std::vector<std::vector<CellEnergy>> heard_;  // onset energy per cell
   std::vector<std::uint64_t> listening_;        // listening radios per cell
   std::vector<std::uint64_t> pending_;          // radios with deferred changes
+  /// Longest airtime ever begun: no energy record spans more, which bounds
+  /// how far back a newest-first scan of a cell must look.
+  util::Duration max_air_ = util::Duration::zero();
   std::map<std::pair<NodeId, NodeId>, std::unique_ptr<GilbertElliott>> burst_;
   std::vector<std::unique_ptr<Delivery>> pool_;  // every Delivery ever made
   std::vector<Delivery*> free_;                  // the idle subset of pool_

@@ -7,11 +7,6 @@
 namespace evm::net {
 
 namespace {
-/// Broadcast dedup window per source. Bounds memory; deep enough that a
-/// flooded copy still in flight cannot out-live its entry at any realistic
-/// fan-out (a 20-node grid re-broadcasts each seq at most once per node).
-constexpr std::size_t kSeenWindow = 64;
-
 /// Serial-number arithmetic on the 16-bit beacon seq (same convention as
 /// EvmService::seq_advanced): `a` is newer than `b` iff it is ahead by less
 /// than half the sequence space.
@@ -99,11 +94,27 @@ util::Status Router::send_beacon(std::uint8_t type,
   return forward(std::move(d));
 }
 
+bool Router::SeenWindow::contains(std::uint16_t seq) const {
+  if (count < kSize) {
+    return std::find(seqs.begin(), seqs.begin() + count, seq) != seqs.begin() + count;
+  }
+  // Full (the steady state): a fixed-length scan with no early exit, which
+  // the compiler turns into a few vector compares.
+  int matches = 0;
+  for (std::uint16_t s : seqs) matches += s == seq;
+  return matches != 0;
+}
+
+void Router::SeenWindow::insert(std::uint16_t seq) {
+  seqs[next] = seq;
+  next = static_cast<std::uint8_t>((next + 1) % kSize);
+  if (count < kSize) ++count;
+}
+
 bool Router::remember(NodeId source, std::uint16_t seq) {
-  auto& window = seen_[source];
-  if (std::find(window.begin(), window.end(), seq) != window.end()) return false;
-  window.push_back(seq);
-  if (window.size() > kSeenWindow) window.pop_front();
+  SeenWindow& window = seen_[source];
+  if (window.contains(seq)) return false;
+  window.insert(seq);
   return true;
 }
 

@@ -13,8 +13,8 @@
 // traffic is flowing, reclaiming the explicit once-per-second beacon flood.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <vector>
@@ -180,8 +180,22 @@ class Router {
   BeaconTag beacon_tag_;
   std::uint8_t default_ttl_ = 8;
   std::uint16_t next_seq_ = 0;
+  /// The last kSize broadcast seqs accepted from one source, in a fixed
+  /// ring: a lookup scans one contiguous block, and once full each new seq
+  /// overwrites the oldest. Bounds memory; deep enough that a flooded copy
+  /// still in flight cannot out-live its entry at any realistic fan-out (a
+  /// 20-node grid re-broadcasts each seq at most once per node).
+  struct SeenWindow {
+    static constexpr std::size_t kSize = 64;
+    std::array<std::uint16_t, kSize> seqs{};
+    std::uint8_t count = 0;  // filled entries, up to kSize
+    std::uint8_t next = 0;   // slot the next accepted seq overwrites
+
+    bool contains(std::uint16_t seq) const;
+    void insert(std::uint16_t seq);
+  };
   /// Recently seen broadcast seqs per source (bounded sliding window).
-  std::map<NodeId, std::deque<std::uint16_t>> seen_;
+  std::map<NodeId, SeenWindow> seen_;
 };
 
 }  // namespace evm::net

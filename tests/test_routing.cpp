@@ -44,6 +44,88 @@ struct RoutingFixture : ::testing::Test {
   void run_for(util::Duration d) { sim.run_until(sim.now() + d); }
 };
 
+/// A MAC with no air: the test hands it frames as if they had arrived.
+class LoopbackMac : public Mac {
+ public:
+  using Mac::Mac;
+  void start() override {}
+  void stop() override {}
+  void arrive(const Packet& packet) { deliver_up(packet); }
+};
+
+/// A lone router fed broadcast datagrams directly; counts the ones it
+/// passes up (the ones its dedup window accepts).
+struct DedupFixture : ::testing::Test {
+  sim::Simulator sim{1};
+  Topology topo;
+  Medium medium{sim, topo};
+  Radio radio{sim, medium, 1};
+  LoopbackMac mac{sim, radio};
+  Router router{mac, topo};
+  int accepted = 0;
+
+  DedupFixture() {
+    router.set_receive_handler([this](const Datagram&) { ++accepted; });
+  }
+  /// True when the router passed (source, seq) up.
+  bool offer(NodeId source, std::uint16_t seq) {
+    Datagram d;
+    d.source = source;
+    d.seq = seq;
+    Packet p;
+    p.src = source == 1 ? 2 : source;  // the link-layer hop is never us
+    p.type = kRoutedPacketType;
+    p.payload = Router::encode(d);
+    const int before = accepted;
+    mac.arrive(p);
+    return accepted > before;
+  }
+};
+
+TEST_F(DedupFixture, SixtyFifthSeqEvictsTheOldest) {
+  for (std::uint16_t seq = 100; seq < 164; ++seq) ASSERT_TRUE(offer(7, seq));
+  for (std::uint16_t seq = 100; seq < 164; ++seq) EXPECT_FALSE(offer(7, seq)) << seq;
+  ASSERT_TRUE(offer(7, 164));   // 65th distinct seq: 100 falls out
+  EXPECT_TRUE(offer(7, 100));   // ...so it is new again, and evicts 101
+  EXPECT_TRUE(offer(7, 101));
+  EXPECT_FALSE(offer(7, 164));
+  for (std::uint16_t seq = 103; seq < 164; ++seq) EXPECT_FALSE(offer(7, seq)) << seq;
+  EXPECT_TRUE(offer(7, 102));  // evicted by 101
+}
+
+TEST_F(DedupFixture, WindowIsPerSource) {
+  ASSERT_TRUE(offer(7, 5));
+  EXPECT_TRUE(offer(8, 5));
+  EXPECT_FALSE(offer(7, 5));
+  EXPECT_FALSE(offer(8, 5));
+  // Filling source 8's window leaves source 7's alone.
+  for (std::uint16_t seq = 1000; seq < 1100; ++seq) ASSERT_TRUE(offer(8, seq));
+  EXPECT_FALSE(offer(7, 5));
+  EXPECT_TRUE(offer(8, 5));
+}
+
+TEST_F(DedupFixture, SeqWrapAndHighSourceIds) {
+  // Dedup is on equality, not order: 65535 and 0 are simply two seqs.
+  for (const NodeId source : {NodeId{0}, NodeId{0xFFFD}, NodeId{0xFFFE}}) {
+    EXPECT_TRUE(offer(source, 65534)) << source;
+    EXPECT_TRUE(offer(source, 65535)) << source;
+    EXPECT_TRUE(offer(source, 0)) << source;
+    EXPECT_TRUE(offer(source, 1)) << source;
+    EXPECT_FALSE(offer(source, 65535)) << source;
+    EXPECT_FALSE(offer(source, 0)) << source;
+  }
+  // A window holding a run across the wrap still evicts in arrival order.
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    ASSERT_TRUE(offer(0x8000, static_cast<std::uint16_t>(65500 + i)));  // ..65535, 0..27
+  }
+  EXPECT_FALSE(offer(0x8000, 0));
+  EXPECT_FALSE(offer(0x8000, 27));
+  EXPECT_TRUE(offer(0x8000, 28));     // evicts 65500
+  EXPECT_TRUE(offer(0x8000, 65500));  // evicts 65501
+  EXPECT_TRUE(offer(0x8000, 65501));
+  EXPECT_FALSE(offer(0x8000, 65535));
+}
+
 TEST(Datagram, EncodeDecodeRoundTrip) {
   Datagram d;
   d.source = 3;
