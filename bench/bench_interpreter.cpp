@@ -1,14 +1,15 @@
 // E10 — Interpreter viability (paper §3.1: the EVM executes control law
 // bytecode in a FORTH-like interpreter on 8-bit motes). Measures the
 // dispatch overhead of the full second-order-filter + PID control cycle in
-// bytecode against the equivalent native C++ controller, and per-opcode
-// dispatch cost.
+// bytecode against the equivalent native C++ controller, the capsule CRC
+// check every cycle pays on top, and per-opcode dispatch cost.
 #include <iomanip>
 #include <iostream>
 
 #include "core/control_programs.hpp"
 #include "harness.hpp"
 #include "plant/pid.hpp"
+#include "util/crc.hpp"
 #include "vm/assembler.hpp"
 #include "vm/interpreter.hpp"
 
@@ -63,6 +64,15 @@ int main() {
         sensor = 47.0 + (out > 10.0 ? 1.0 : -1.0);  // keep data flowing
         bench::do_not_optimize(interp.run(capsule->code));
       });
+
+  // The path EvmService takes every control cycle: the capsule's CRC check,
+  // then the same run.
+  time_row(report, "pid_capsule", pid_insns, [&] {
+    sensor = 47.0 + (out > 10.0 ? 1.0 : -1.0);
+    bench::do_not_optimize(interp.run(*capsule));
+  });
+  time_row(report, "capsule_crc", 0,
+           [&] { bench::do_not_optimize(util::crc32(capsule->code)); });
 
   plant::Pid pid({.kp = 2.0, .ki = 0.05, .kd = 0.1, .setpoint = 50.0});
   plant::SecondOrderFilter filter(2.0);
