@@ -18,7 +18,6 @@
 #include <string>
 
 #include "cli_util.hpp"
-#include "farm/worker.hpp"
 #include "obs/phase_timer.hpp"
 #include "obs/trace_recorder.hpp"
 #include "scenario/baseline.hpp"
@@ -36,7 +35,6 @@ int usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0 << " <spec.json> [options]\n"
       << "       " << argv0 << " --merge <report.json|dir|manifest.json>... [--out DIR]\n"
-      << "       " << argv0 << " --farm-worker <farm-dir> --worker-name NAME [--jobs J]\n"
       << "  --seeds N        seeds to run (default 1)\n"
       << "  --jobs J         worker threads (default min(seeds, cores))\n"
       << "  --base-seed S    first seed (default 1)\n"
@@ -66,9 +64,7 @@ int usage(const char* argv0) {
       << "                   wall-clock) while the campaign runs\n"
       << "  --merge inputs may be shard report files, directories (every\n"
       << "                   *.json inside, sorted), or a manifest: a JSON\n"
-      << "                   array of report paths, relative to the manifest\n"
-      << "  --farm-worker    drain the campaign-farm spool at <farm-dir> as\n"
-      << "                   worker NAME (spawned by the `farm` coordinator)\n";
+      << "                   array of report paths, relative to the manifest\n";
   return 2;
 }
 
@@ -243,7 +239,6 @@ int main(int argc, char** argv) {
   bool merge_mode = false;
   std::vector<std::string> merge_paths;
   std::string spec_path;
-  std::string farm_dir, worker_name;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -257,14 +252,6 @@ int main(int argc, char** argv) {
       else return usage(argv[0]);
     } else if (arg == "--merge") {
       merge_mode = true;
-    } else if (arg == "--farm-worker") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      farm_dir = v;
-    } else if (arg == "--worker-name") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      worker_name = v;
     } else if (arg == "--seeds" || arg == "--jobs" || arg == "--base-seed") {
       const char* v = next();
       if (v == nullptr || !parse_u64(v, value)) return usage(argv[0]);
@@ -333,22 +320,6 @@ int main(int argc, char** argv) {
     if (merge_paths.empty()) return usage(argv[0]);
     return merge_reports(merge_paths, out_dir, check_baseline_path,
                          update_baselines_path);
-  }
-  if (!farm_dir.empty()) {
-    if (worker_name.empty()) return usage(argv[0]);
-    farm::WorkerOptions worker;
-    worker.farm_dir = farm_dir;
-    worker.name = worker_name;
-    worker.jobs = config.jobs == 0 ? 1 : config.jobs;
-    auto stats = farm::run_worker(worker);
-    if (!stats) {
-      std::cerr << "error: " << stats.status().to_string() << "\n";
-      return 1;
-    }
-    std::cout << "worker " << worker_name << ": " << stats->units_done
-              << " unit(s) done, " << stats->units_failed << " failed, "
-              << stats->runs_done << " run(s)\n";
-    return 0;
   }
   if (spec_path.empty() || config.seeds == 0) return usage(argv[0]);
 

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <thread>
+#include <utility>
 
 #include "obs/phase_timer.hpp"
 #include "util/hash.hpp"
@@ -199,7 +200,7 @@ Json campaign_report(const ScenarioSpec& spec, const CampaignConfig& config,
   root.set("scenario", spec.name);
   // Deterministic content hash of the spec echo below: reports of the same
   // exact spec are groupable by it even across renamed scenario files, and
-  // the result store dedups runs by (spec_hash, seed).
+  // merge_campaign_reports checks it against the echo.
   root.set("spec_hash", spec.content_hash());
   root.set("spec", spec.to_json());
 
@@ -261,16 +262,24 @@ util::Result<Json> merge_campaign_reports(const std::vector<Json>& reports) {
   // keeps the merged hash correct even for reports written before the
   // field existed; a report that *does* carry one must agree.
   const std::string spec_hash = util::content_hash(first_spec->dump_compact());
+  // Every shard of one campaign echoes the same seed range. A report of
+  // another range would pass its runs off as seeds of this campaign.
+  auto seed_range = [](const Json& report) {
+    std::pair<std::int64_t, std::int64_t> range{0, 0};
+    if (const Json* campaign = report.find("campaign")) {
+      if (const Json* b = campaign->find("base_seed")) range.first = b->as_int();
+      if (const Json* s = campaign->find("seeds")) range.second = s->as_int();
+    }
+    return range;
+  };
+  const auto [base_seed, seeds] = seed_range(reports.front());
 
   std::vector<Json> runs;
-  std::uint64_t base_seed = 0;
-  std::size_t seeds = 0;
   double wall_ms = 0.0;
   double setup_ms = 0.0, run_ms = 0.0, teardown_ms = 0.0;
   std::int64_t events_dispatched = 0;
   std::int64_t sim_slots = 0;
   std::size_t timed_shards = 0;
-  bool first = true;
   for (const Json& report : reports) {
     const Json* name = report.find("scenario");
     const Json* spec = report.find("spec");
@@ -285,14 +294,9 @@ util::Result<Json> merge_campaign_reports(const std::vector<Json>& reports) {
       return util::Status::invalid_argument(
           "cannot merge: report's spec_hash does not match its spec echo");
     }
-    if (const Json* campaign = report.find("campaign")) {
-      if (const Json* b = campaign->find("base_seed")) {
-        const auto value = static_cast<std::uint64_t>(b->as_int());
-        base_seed = first ? value : std::min(base_seed, value);
-      }
-      if (const Json* s = campaign->find("seeds")) {
-        seeds = std::max(seeds, static_cast<std::size_t>(s->as_int()));
-      }
+    if (seed_range(report) != std::pair{base_seed, seeds}) {
+      return util::Status::invalid_argument(
+          "cannot merge: shard reports cover different seed ranges");
     }
     if (const Json* timing = report.find("timing")) {
       // Shard wall times sum: the merged figure is total CPU-wall spent
@@ -309,7 +313,6 @@ util::Result<Json> merge_campaign_reports(const std::vector<Json>& reports) {
         teardown_ms += p->as_double();
       }
     }
-    first = false;
     const Json* shard_runs = report.find("runs");
     if (shard_runs == nullptr || !shard_runs->is_array()) {
       return util::Status::invalid_argument("report lacks a 'runs' array");
@@ -340,9 +343,9 @@ util::Result<Json> merge_campaign_reports(const std::vector<Json>& reports) {
   root.set("spec_hash", spec_hash);
   root.set("spec", *first_spec);
   Json campaign = Json::object();
-  campaign.set("base_seed", static_cast<std::int64_t>(base_seed));
+  campaign.set("base_seed", base_seed);
   campaign.set("seeds", seeds);
-  if (runs.size() != seeds) {
+  if (static_cast<std::int64_t>(runs.size()) != seeds) {
     // Partial merge (some shards missing): say so instead of passing the
     // report off as the full campaign.
     campaign.set("merged_runs", runs.size());

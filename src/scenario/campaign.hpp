@@ -75,7 +75,8 @@ util::Json campaign_report(const ScenarioSpec& spec, const CampaignConfig& confi
 /// campaign) into one: runs are concatenated verbatim and re-sorted by
 /// seed, the aggregate block is recomputed over the union. Merging every
 /// shard of a campaign reproduces the unsharded report's runs exactly.
-/// Rejects reports whose scenario name or spec echo disagree.
+/// Rejects reports whose scenario name, spec echo or seed range
+/// (`campaign.base_seed`/`seeds`) disagree.
 util::Result<util::Json> merge_campaign_reports(const std::vector<util::Json>& reports);
 
 /// Directory campaign reports land in: $EVM_BENCH_OUT or "bench/out".

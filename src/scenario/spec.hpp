@@ -103,8 +103,8 @@ struct ScenarioSpec {
   /// Deterministic content hash of the canonical serialization (16 hex
   /// chars): two specs hash equal iff their to_json() documents are
   /// byte-identical, independent of file name or formatting. Campaign
-  /// reports surface it as "spec_hash" and the result store dedups and
-  /// groups runs by (spec_hash, seed).
+  /// reports surface it as "spec_hash", which groups reports of one spec and
+  /// which merge_campaign_reports checks against each report's spec echo.
   std::string content_hash() const;
 };
 

@@ -1,9 +1,10 @@
 // Deterministic content hashing for machine-readable artifacts. FNV-1a is
-// chosen over a cryptographic hash on purpose: the store keys runs by spec
-// content to *group and dedup* them, not to defend against an adversary, and
-// a 16-hex-char key stays readable in file names and report diffs. The hash
-// of a canonical `Json::dump_compact()` string is stable across machines and
-// stdlib versions, so the same spec always lands in the same store bucket.
+// chosen over a cryptographic hash on purpose: reports carry the hash of
+// their spec to *group* them and to catch a merge of reports whose spec echo
+// was edited, not to defend against an adversary, and a 16-hex-char key stays
+// readable in file names and report diffs. The hash of a canonical
+// `Json::dump_compact()` string is stable across machines and stdlib
+// versions, so the same spec always gets the same key.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +36,8 @@ inline std::string hash_hex(std::uint64_t h) {
 }
 
 /// The one spec-content hash everything keys on: hash of a canonical
-/// single-line JSON dump. Campaign reports surface it as "spec_hash" and the
-/// result store dedups runs by (spec_hash, seed).
+/// single-line JSON dump. Campaign reports surface it as "spec_hash", and
+/// merging shard reports checks it against each report's spec echo.
 inline std::string content_hash(const std::string& canonical_dump) {
   return hash_hex(fnv1a64(canonical_dump));
 }

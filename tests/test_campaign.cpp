@@ -274,7 +274,60 @@ TEST(CampaignShards, MergeRejectsMismatchedAndDuplicateReports) {
   auto mismatch = merge_campaign_reports({report, other_report});
   EXPECT_FALSE(mismatch.ok());
 
+  // Shards of another seed range must be rejected, not folded into a report
+  // that passes as one campaign: a different base seed, then a different
+  // seed count, each holding a seed the first report lacks.
+  CampaignConfig shifted = config;
+  shifted.base_seed = 101;
+  CampaignResult shifted_result;
+  shifted_result.runs.push_back(ok_run(101, 2.0));
+  CampaignConfig longer = config;
+  longer.seeds = 2;
+  CampaignResult longer_result;
+  longer_result.runs.push_back(ok_run(2, 2.0));
+  for (const util::Json& other_range :
+       {campaign_report(spec, shifted, shifted_result),
+        campaign_report(spec, longer, longer_result)}) {
+    auto range_mismatch = merge_campaign_reports({report, other_range});
+    ASSERT_FALSE(range_mismatch.ok());
+    EXPECT_EQ(range_mismatch.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_EQ(range_mismatch.status().message(),
+              "cannot merge: shard reports cover different seed ranges");
+  }
+
   EXPECT_FALSE(merge_campaign_reports({}).ok());
+}
+
+TEST(SpecHash, StableAcrossRoundTripAndSurfacedInReports) {
+  const ScenarioSpec spec = minimal_spec();
+  const std::string hash = spec.content_hash();
+  EXPECT_EQ(hash.size(), 16u);
+
+  // Round-tripping through JSON preserves it.
+  auto reparsed = ScenarioSpec::from_json(spec.to_json());
+  ASSERT_TRUE(reparsed.ok());
+  EXPECT_EQ(reparsed->content_hash(), hash);
+
+  // A different spec hashes differently.
+  ScenarioSpec other = spec;
+  other.horizon_s += 1.0;
+  EXPECT_NE(other.content_hash(), hash);
+
+  // Reports surface it, and the merged report re-derives the same value.
+  CampaignConfig config;
+  config.base_seed = 1;
+  config.seeds = 1;
+  CampaignResult result;
+  RunMetrics run;
+  run.seed = 1;
+  run.ok = true;
+  result.runs.push_back(run);
+  const util::Json report = campaign_report(spec, config, result);
+  ASSERT_NE(report.find("spec_hash"), nullptr);
+  EXPECT_EQ(report.find("spec_hash")->as_string(), hash);
+  auto merged = merge_campaign_reports({report});
+  ASSERT_TRUE(merged.ok());
+  EXPECT_EQ(merged->find("spec_hash")->as_string(), hash);
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {

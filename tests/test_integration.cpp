@@ -1,8 +1,13 @@
 // End-to-end integration tests on the paper's six-node HIL testbed, with
 // accelerated detection windows so each scenario runs in seconds of
-// virtual time.
+// virtual time, plus a TDMA safety check over every shipped scenario.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <vector>
+
+#include "scenario/campaign.hpp"
 #include "testbed/gas_plant_testbed.hpp"
 
 namespace evm::testbed {
@@ -233,6 +238,29 @@ TEST(Testbed, EnergyAccountingPlausible) {
   EXPECT_LT(avg_ma, 18.8);
   EXPECT_GT(avg_ma, 0.0);
   EXPECT_GT(tb.node(TB::kCtrlB).battery_fraction(), 0.99);
+}
+
+TEST(ShippedScenarios, TdmaSlotsStayCollisionFree) {
+  // The RT-Link slot plan licenses each slot to exactly one transmitter, so
+  // in no shipped world, however large, may two frames overlap at a
+  // listener.
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(EVM_REPO_SCENARIOS_DIR)) {
+    if (entry.path().extension() == ".json") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_FALSE(files.empty());
+  scenario::CampaignConfig config;
+  config.base_seed = 1;
+  config.seeds = 3;
+  for (const auto& file : files) {
+    auto spec = scenario::ScenarioSpec::load_file(file.string());
+    ASSERT_TRUE(spec.ok()) << file << ": " << spec.status().to_string();
+    for (const auto& run : scenario::run_campaign(*spec, config).runs) {
+      EXPECT_TRUE(run.ok) << file << " seed " << run.seed << ": " << run.error;
+      EXPECT_EQ(run.packets_collided, 0u) << file << " seed " << run.seed;
+    }
+  }
 }
 
 }  // namespace
