@@ -1,17 +1,24 @@
 // Direct coverage of the campaign aggregation path: percentile math over
 // known sample sets fed through hand-built CampaignResults, the empty- and
-// single-seed edge cases, and the shared parallel_for worker pool (all of
-// which test_scenario.cpp previously exercised only indirectly, through
-// full simulator runs).
+// single-seed edge cases, shard merging and its rejections, report files,
+// and the shared parallel_for worker pool (all of which test_scenario.cpp
+// previously exercised only indirectly, through full simulator runs).
 #include <gtest/gtest.h>
+
+#include <stdlib.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "scenario/campaign.hpp"
+#include "util/hash.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -328,6 +335,270 @@ TEST(SpecHash, StableAcrossRoundTripAndSurfacedInReports) {
   auto merged = merge_campaign_reports({report});
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ(merged->find("spec_hash")->as_string(), hash);
+}
+
+/// Hand-built reports of every shard of a `seeds`-seed campaign starting at
+/// seed 1, one report per shard, and the unsharded report they must merge
+/// back into.
+struct ShardSet {
+  std::vector<util::Json> shards;
+  util::Json full;
+};
+
+ShardSet shard_set(std::size_t seeds, std::size_t shard_count) {
+  const ScenarioSpec spec = minimal_spec();
+  CampaignConfig config;
+  config.base_seed = 1;
+  config.seeds = seeds;
+  CampaignResult full;
+  for (std::uint64_t i = 0; i < seeds; ++i) {
+    full.runs.push_back(ok_run(1 + i, static_cast<double>((i * 7) % 11 + 1)));
+  }
+  ShardSet set;
+  set.full = campaign_report(spec, config, full);
+  for (std::size_t k = 0; k < shard_count; ++k) {
+    CampaignConfig shard = config;
+    shard.shard_index = k;
+    shard.shard_count = shard_count;
+    CampaignResult result;
+    for (std::size_t i = k; i < seeds; i += shard_count) result.runs.push_back(full.runs[i]);
+    set.shards.push_back(campaign_report(spec, shard, result));
+  }
+  return set;
+}
+
+/// `report` with `key` set to `value` at the top level.
+util::Json with_member(util::Json report, const std::string& key, util::Json value) {
+  report.set(key, std::move(value));
+  return report;
+}
+
+/// `report` without its top-level `key`.
+util::Json without_member(const util::Json& report, const std::string& key) {
+  util::Json out = util::Json::object();
+  for (const auto& [k, value] : report.members()) {
+    if (k != key) out.set(k, value);
+  }
+  return out;
+}
+
+TEST(CampaignShards, MergeIsIndependentOfReportOrder) {
+  // `--merge` takes its inputs in command-line or directory order; every
+  // order of three shards must give the same bytes as the direct campaign.
+  const ShardSet set = shard_set(7, 3);
+  std::vector<std::size_t> order = {0, 1, 2};
+  do {
+    std::vector<util::Json> inputs;
+    for (std::size_t k : order) inputs.push_back(set.shards[k]);
+    auto merged = merge_campaign_reports(inputs);
+    ASSERT_TRUE(merged.ok()) << merged.status().to_string();
+    EXPECT_EQ(merged->dump(), set.full.dump())
+        << "order " << order[0] << order[1] << order[2];
+  } while (std::next_permutation(order.begin(), order.end()));
+}
+
+TEST(CampaignShards, PartialMergeIsMarkedWithItsRunCount) {
+  // A merge that lacks a shard must not pass as the full campaign: it keeps
+  // the campaign's seed range but records how many runs it really holds.
+  const ShardSet set = shard_set(7, 3);
+  auto partial = merge_campaign_reports({set.shards[0], set.shards[2]});
+  ASSERT_TRUE(partial.ok()) << partial.status().to_string();
+  const util::Json* campaign = partial->find("campaign");
+  EXPECT_EQ(campaign->find("base_seed")->as_int(), 1);
+  EXPECT_EQ(campaign->find("seeds")->as_int(), 7);
+  ASSERT_NE(campaign->find("merged_runs"), nullptr);
+  EXPECT_EQ(campaign->find("merged_runs")->as_int(), 5);
+  EXPECT_EQ(partial->find("runs")->size(), 5u);
+
+  auto complete = merge_campaign_reports(set.shards);
+  ASSERT_TRUE(complete.ok()) << complete.status().to_string();
+  EXPECT_EQ(complete->find("campaign")->find("merged_runs"), nullptr);
+}
+
+TEST(CampaignShards, MergedReportsMergeAgainIncrementally) {
+  // A merged report is itself a valid merge input: re-merging it alone
+  // changes nothing, and a partial merge completed with the missing shard
+  // equals the direct campaign.
+  const ShardSet set = shard_set(7, 3);
+  auto partial = merge_campaign_reports({set.shards[0], set.shards[1]});
+  ASSERT_TRUE(partial.ok()) << partial.status().to_string();
+  auto again = merge_campaign_reports({*partial});
+  ASSERT_TRUE(again.ok()) << again.status().to_string();
+  EXPECT_EQ(again->dump(), partial->dump());
+
+  auto completed = merge_campaign_reports({*partial, set.shards[2]});
+  ASSERT_TRUE(completed.ok()) << completed.status().to_string();
+  EXPECT_EQ(completed->dump(), set.full.dump());
+}
+
+TEST(CampaignShards, ShardThatOwnsNoSeedsMergesAsANoOp) {
+  // More shards than seeds: the surplus shard runs nothing and reports an
+  // empty run list, which must neither fail the merge nor change it.
+  const ShardSet set = shard_set(2, 3);
+  ASSERT_EQ(set.shards[2].find("runs")->size(), 0u);
+  auto merged = merge_campaign_reports(set.shards);
+  ASSERT_TRUE(merged.ok()) << merged.status().to_string();
+  EXPECT_EQ(merged->dump(), set.full.dump());
+}
+
+TEST(CampaignShards, OutOfRangeShardIndexOwnsNoSeeds) {
+  ScenarioSpec spec = minimal_spec();
+  spec.testbed.control_period = util::Duration::micros(10);  // fail fast
+  CampaignConfig config;
+  config.base_seed = 1;
+  config.seeds = 4;
+  config.shard_count = 2;
+  config.shard_index = 2;
+  EXPECT_TRUE(run_campaign(spec, config).runs.empty());
+  config.shard_index = 1;
+  EXPECT_EQ(run_campaign(spec, config).runs.size(), 2u);
+}
+
+TEST(CampaignShards, MergeRejectsAnEditedSpecEchoOrHash) {
+  // spec_hash is what catches a report whose spec echo was edited after it
+  // was written: the merge recomputes the hash from the echo.
+  const ShardSet set = shard_set(4, 2);
+  const std::string expected =
+      "cannot merge: report's spec_hash does not match its spec echo";
+
+  auto wrong_hash = merge_campaign_reports(
+      {set.shards[0], with_member(set.shards[1], "spec_hash", "0000000000000000")});
+  ASSERT_FALSE(wrong_hash.ok());
+  EXPECT_EQ(wrong_hash.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(wrong_hash.status().message(), expected);
+
+  ScenarioSpec edited = minimal_spec();
+  edited.horizon_s += 5.0;
+  const util::Json edited_echo = with_member(set.shards[0], "spec", edited.to_json());
+  for (const auto& inputs : {std::vector<util::Json>{edited_echo, set.shards[1]},
+                             std::vector<util::Json>{edited_echo}}) {
+    auto merged = merge_campaign_reports(inputs);
+    ASSERT_FALSE(merged.ok());
+    EXPECT_EQ(merged.status().message(), expected);
+  }
+}
+
+TEST(CampaignShards, MergeRejectsSameNameWithADifferentSpec) {
+  // The scenario name alone does not identify a campaign: a shard of the
+  // same name run with another horizon measured something else.
+  const ShardSet set = shard_set(2, 2);
+  ScenarioSpec retimed = minimal_spec();
+  retimed.horizon_s += 5.0;
+  CampaignConfig config;
+  config.base_seed = 1;
+  config.seeds = 2;
+  config.shard_index = 1;
+  config.shard_count = 2;
+  CampaignResult result;
+  result.runs.push_back(ok_run(2, 3.0));
+  auto merged =
+      merge_campaign_reports({set.shards[0], campaign_report(retimed, config, result)});
+  ASSERT_FALSE(merged.ok());
+  EXPECT_EQ(merged.status().message(),
+            "cannot merge: shard reports describe different campaigns");
+}
+
+TEST(CampaignShards, MergeRejectsMalformedReports) {
+  const ShardSet set = shard_set(2, 2);
+  struct Case {
+    util::Json report;
+    std::string message;
+  };
+  const Case cases[] = {
+      {without_member(set.shards[0], "spec"), "report lacks 'scenario'/'spec'"},
+      {without_member(set.shards[0], "scenario"), "report lacks 'scenario'/'spec'"},
+      {without_member(set.shards[0], "runs"), "report lacks a 'runs' array"},
+      {with_member(set.shards[0], "runs", util::Json::object()),
+       "report lacks a 'runs' array"},
+      {util::Json::object(), "report lacks 'scenario'/'spec'"},
+  };
+  for (const Case& c : cases) {
+    auto merged = merge_campaign_reports({c.report});
+    ASSERT_FALSE(merged.ok()) << c.message;
+    EXPECT_EQ(merged.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_EQ(merged.status().message(), c.message);
+  }
+  // A malformed report after a good one fails the same way.
+  auto second = merge_campaign_reports({set.shards[1], without_member(set.shards[0], "runs")});
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().message(), "report lacks a 'runs' array");
+}
+
+TEST(CampaignShards, ReportsWithoutASpecHashMergeAndGainOne) {
+  // Reports written before spec_hash existed carry none; the merge accepts
+  // them and derives the hash from the spec echo.
+  const ShardSet set = shard_set(4, 2);
+  auto merged = merge_campaign_reports(
+      {without_member(set.shards[0], "spec_hash"), without_member(set.shards[1], "spec_hash")});
+  ASSERT_TRUE(merged.ok()) << merged.status().to_string();
+  ASSERT_NE(merged->find("spec_hash"), nullptr);
+  EXPECT_EQ(merged->find("spec_hash")->as_string(), minimal_spec().content_hash());
+  EXPECT_EQ(merged->dump(), set.full.dump());
+}
+
+TEST(SpecHash, IsTheContentHashOfTheCompactSpecEcho) {
+  // merge_campaign_reports recomputes the hash from a report's spec echo,
+  // so the spec's own hash must be exactly that, for any spec.
+  ScenarioSpec spec = minimal_spec();
+  spec.testbed.evidence_threshold = 5;
+  for (const ScenarioSpec& s : {minimal_spec(), spec}) {
+    EXPECT_EQ(s.content_hash(), util::content_hash(s.to_json().dump_compact()));
+  }
+  auto parsed = util::Json::parse(spec.to_json().dump());
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(util::content_hash(parsed->dump_compact()), spec.content_hash());
+}
+
+std::filesystem::path fresh_dir(const std::string& name) {
+  std::string leaf = "evm_test_campaign_";
+  leaf += name;
+  const std::filesystem::path dir = std::filesystem::temp_directory_path() / leaf;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+TEST(CampaignReportFile, WritesUnderTheSanitizedScenarioName) {
+  const ShardSet set = shard_set(2, 1);
+  const std::filesystem::path dir = fresh_dir("write");
+  auto path = write_campaign_report(set.full, "grid 20/node.v2", (dir / "nested").string());
+  ASSERT_TRUE(path.ok()) << path.status().to_string();
+  EXPECT_EQ(std::filesystem::path(*path).filename(), "scenario_grid_20_node_v2.json");
+
+  std::ifstream in(*path);
+  std::stringstream text;
+  text << in.rdbuf();
+  auto reread = util::Json::parse(text.str());
+  ASSERT_TRUE(reread.ok()) << reread.status().to_string();
+  EXPECT_EQ(reread->dump(), set.full.dump());
+
+  // A name with no usable character still gets a file.
+  auto unnamed = write_campaign_report(set.full, "", dir.string());
+  ASSERT_TRUE(unnamed.ok());
+  EXPECT_EQ(std::filesystem::path(*unnamed).filename(), "scenario_scenario.json");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CampaignReportFile, UncreatableDirectoryIsAnError) {
+  // A regular file where the directory should go: reported, not thrown.
+  const std::filesystem::path dir = fresh_dir("blocked");
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir / "file") << "x";
+  auto path = write_campaign_report(shard_set(1, 1).full, "s", (dir / "file" / "out").string());
+  ASSERT_FALSE(path.ok());
+  EXPECT_EQ(path.status().code(), util::StatusCode::kInternal);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CampaignReportFile, ReportDirFollowsEvmBenchOut) {
+  const char* saved = std::getenv("EVM_BENCH_OUT");
+  const std::string restore = saved != nullptr ? saved : "";
+  ::setenv("EVM_BENCH_OUT", "/tmp/elsewhere", 1);
+  EXPECT_EQ(report_dir(), "/tmp/elsewhere");
+  ::setenv("EVM_BENCH_OUT", "", 1);  // empty means unset
+  EXPECT_EQ(report_dir(), "bench/out");
+  ::unsetenv("EVM_BENCH_OUT");
+  EXPECT_EQ(report_dir(), "bench/out");
+  if (saved != nullptr) ::setenv("EVM_BENCH_OUT", restore.c_str(), 1);
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {

@@ -1,10 +1,12 @@
 // End-to-end integration tests on the paper's six-node HIL testbed, with
 // accelerated detection windows so each scenario runs in seconds of
-// virtual time, plus a TDMA safety check over every shipped scenario.
+// virtual time, plus a TDMA safety check and a shard-merge parity check
+// over every shipped scenario.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <string>
 #include <vector>
 
 #include "scenario/campaign.hpp"
@@ -240,15 +242,21 @@ TEST(Testbed, EnergyAccountingPlausible) {
   EXPECT_GT(tb.node(TB::kCtrlB).battery_fraction(), 0.99);
 }
 
-TEST(ShippedScenarios, TdmaSlotsStayCollisionFree) {
-  // The RT-Link slot plan licenses each slot to exactly one transmitter, so
-  // in no shipped world, however large, may two frames overlap at a
-  // listener.
+/// Every shipped scenario file, sorted by name.
+std::vector<std::filesystem::path> shipped_scenario_files() {
   std::vector<std::filesystem::path> files;
   for (const auto& entry : std::filesystem::directory_iterator(EVM_REPO_SCENARIOS_DIR)) {
     if (entry.path().extension() == ".json") files.push_back(entry.path());
   }
   std::sort(files.begin(), files.end());
+  return files;
+}
+
+TEST(ShippedScenarios, TdmaSlotsStayCollisionFree) {
+  // The RT-Link slot plan licenses each slot to exactly one transmitter, so
+  // in no shipped world, however large, may two frames overlap at a
+  // listener.
+  const std::vector<std::filesystem::path> files = shipped_scenario_files();
   ASSERT_FALSE(files.empty());
   scenario::CampaignConfig config;
   config.base_seed = 1;
@@ -262,6 +270,71 @@ TEST(ShippedScenarios, TdmaSlotsStayCollisionFree) {
     }
   }
 }
+
+/// A report without its wall-clock "timing" block, the only part of a
+/// campaign report that may differ between invocations.
+util::Json without_timing(const util::Json& report) {
+  util::Json out = util::Json::object();
+  for (const auto& [key, value] : report.members()) {
+    if (key != "timing") out.set(key, value);
+  }
+  return out;
+}
+
+/// The report as a shard job writes it and `--merge` reads it back.
+util::Json through_disk(const util::Json& report) {
+  auto parsed = util::Json::parse(report.dump());
+  EXPECT_TRUE(parsed.ok()) << parsed.status().to_string();
+  return parsed.ok() ? *parsed : util::Json();
+}
+
+class ShardMerge : public ::testing::TestWithParam<std::filesystem::path> {};
+
+TEST_P(ShardMerge, ReproducesTheDirectCampaign) {
+  // `--shard K/N` + `--merge` is the one way to spread a campaign, so on
+  // every shipped world the merged shard reports must equal one direct run
+  // byte for byte apart from timing. Three seeds over two shards make the
+  // shards uneven, and the shards run on a different worker count than the
+  // direct campaign.
+  auto spec = scenario::ScenarioSpec::load_file(GetParam().string());
+  ASSERT_TRUE(spec.ok()) << spec.status().to_string();
+  scenario::CampaignConfig config;
+  config.base_seed = 1;
+  config.seeds = 3;
+  config.jobs = 1;
+  const util::Json direct =
+      scenario::campaign_report(*spec, config, scenario::run_campaign(*spec, config));
+
+  std::vector<util::Json> shards;
+  for (std::size_t k = 0; k < 2; ++k) {
+    scenario::CampaignConfig shard = config;
+    shard.jobs = 2;
+    shard.shard_index = k;
+    shard.shard_count = 2;
+    shards.push_back(through_disk(
+        scenario::campaign_report(*spec, shard, scenario::run_campaign(*spec, shard))));
+  }
+  ASSERT_EQ(shards[0].find("runs")->size(), 2u);
+  ASSERT_EQ(shards[1].find("runs")->size(), 1u);
+
+  // Shard order on the command line must not matter.
+  auto merged = scenario::merge_campaign_reports({shards[1], shards[0]});
+  ASSERT_TRUE(merged.ok()) << merged.status().to_string();
+  EXPECT_EQ(without_timing(*merged).dump(), without_timing(direct).dump());
+
+  // One shard alone is a partial campaign and says so.
+  auto partial = scenario::merge_campaign_reports({shards[1]});
+  ASSERT_TRUE(partial.ok()) << partial.status().to_string();
+  const util::Json* merged_runs = partial->find("campaign")->find("merged_runs");
+  ASSERT_NE(merged_runs, nullptr);
+  EXPECT_EQ(merged_runs->as_int(), 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ShippedScenarios, ShardMerge, ::testing::ValuesIn(shipped_scenario_files()),
+    [](const ::testing::TestParamInfo<std::filesystem::path>& info) {
+      return info.param.stem().string();
+    });
 
 }  // namespace
 }  // namespace evm::testbed

@@ -4,6 +4,7 @@
 
 #include "util/bytes.hpp"
 #include "util/crc.hpp"
+#include "util/hash.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
@@ -204,6 +205,35 @@ TEST(Crc, Crc32MatchesBytewiseReferenceAtEveryAlignment) {
       ASSERT_EQ(crc32(span), reference(span)) << "offset " << offset << " length " << length;
     }
   }
+}
+
+// --- Content hash ------------------------------------------------------------------
+
+TEST(ContentHash, Fnv1a64MatchesPublishedVectors) {
+  // Reference values of 64-bit FNV-1a (offset basis 0xcbf29ce484222325,
+  // prime 0x100000001b3).
+  EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ULL);
+  EXPECT_EQ(content_hash("foobar"), "85944171f73967e8");
+  // The seed continues a hash: hashing in two parts equals one pass.
+  EXPECT_EQ(fnv1a64("bar", fnv1a64("foo")), fnv1a64("foobar"));
+}
+
+TEST(ContentHash, HexIsSixteenLowercaseDigitsWithLeadingZeros) {
+  EXPECT_EQ(hash_hex(0), "0000000000000000");
+  EXPECT_EQ(hash_hex(0xABCULL), "0000000000000abc");
+  EXPECT_EQ(hash_hex(0x0123456789ABCDEFULL), "0123456789abcdef");
+  EXPECT_EQ(hash_hex(~0ULL), "ffffffffffffffff");
+  // Nearby inputs get different keys.
+  std::set<std::string> keys;
+  for (int i = 0; i < 1000; ++i) {
+    std::string json = "{\"seed\":";
+    json += std::to_string(i);
+    json += "}";
+    keys.insert(content_hash(json));
+  }
+  EXPECT_EQ(keys.size(), 1000u);
 }
 
 // --- Bytes -----------------------------------------------------------------------
