@@ -47,8 +47,9 @@ class Mac {
   /// reports, mode commands — the low-rate control plane) drain ahead of
   /// queued broadcast relays. In saturated multi-hop worlds the shared FIFO
   /// otherwise makes every control hop wait out the standing flood traffic,
-  /// turning a 33-hop command into minutes of transit. Off by default so
-  /// historical single-queue scenarios stay bit-stable.
+  /// turning a 33-hop command into minutes of transit. TestbedBuilder turns
+  /// it on in every multi-hop world; single-hop worlds keep one FIFO, where
+  /// a lane would let migration fragments starve the heartbeats.
   void set_unicast_priority(bool on) { unicast_priority_ = on; }
 
   const MacStats& stats() const { return stats_; }

@@ -155,8 +155,7 @@ util::Status Router::forward(Datagram d) {
     return mac_.send(std::move(packet));
   }
   std::optional<NodeId> hop;
-  if (head_bound_tree_unicast_ && mode_ == BroadcastMode::kTree &&
-      tree_cache_ != nullptr) {
+  if (mode_ == BroadcastMode::kTree && tree_cache_ != nullptr) {
     // Root-bound unicasts climb the dissemination tree: every parent is a
     // forwarder with a mirror-pass slot, so the datagram chains inward
     // within a single frame (see plan_schedule's mirror pass).

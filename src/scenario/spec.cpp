@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
 #include <utility>
 
 #include "util/hash.hpp"
@@ -17,29 +18,48 @@ namespace {
 struct KindName {
   EventKind kind;
   const char* name;
+  /// The event's own keys besides "do" and "at_s", space-separated.
+  std::string_view keys;
 };
 
 constexpr KindName kKindNames[] = {
-    {EventKind::kPrimaryFault, "primary_fault"},
-    {EventKind::kClearPrimaryFault, "clear_primary_fault"},
-    {EventKind::kNodeCrash, "node_crash"},
-    {EventKind::kNodeRestart, "node_restart"},
-    {EventKind::kLinkDown, "link_down"},
-    {EventKind::kLinkUp, "link_up"},
-    {EventKind::kLinkOutage, "link_outage"},
-    {EventKind::kLinkLoss, "link_loss"},
-    {EventKind::kBurstLoss, "burst_loss"},
-    {EventKind::kClearBurstLoss, "clear_burst_loss"},
-    {EventKind::kClockDrift, "clock_drift"},
-    {EventKind::kTrafficBurst, "traffic_burst"},
+    {EventKind::kPrimaryFault, "primary_fault", "value"},
+    {EventKind::kClearPrimaryFault, "clear_primary_fault", ""},
+    {EventKind::kNodeCrash, "node_crash", "node"},
+    {EventKind::kNodeRestart, "node_restart", "node"},
+    {EventKind::kLinkDown, "link_down", "a b"},
+    {EventKind::kLinkUp, "link_up", "a b"},
+    {EventKind::kLinkOutage, "link_outage", "a b duration_s"},
+    {EventKind::kLinkLoss, "link_loss", "a b loss"},
+    {EventKind::kBurstLoss, "burst_loss",
+     "a b p_good_loss p_bad_loss p_good_to_bad p_bad_to_good"},
+    {EventKind::kClearBurstLoss, "clear_burst_loss", "a b"},
+    {EventKind::kClockDrift, "clock_drift", "node ppm"},
+    {EventKind::kTrafficBurst, "traffic_burst", "node count interval_ms"},
 };
+
+/// Reject any key of `obj` outside the space-separated `known` list. A
+/// misspelled key would otherwise leave its field at the default and run a
+/// different experiment than the file describes, without a word.
+Status check_keys(const Json& obj, std::string_view known,
+                  const std::string& section) {
+  std::string padded = " ";
+  padded += known;
+  padded += ' ';
+  for (const auto& [key, value] : obj.members()) {
+    (void)value;
+    if (padded.find(' ' + key + ' ') == std::string::npos) {
+      return Status::invalid_argument("unknown key '" + key + "' in " + section);
+    }
+  }
+  return Status::ok();
+}
 
 std::string known_kinds() {
   std::string out;
-  for (const auto& [kind, name] : kKindNames) {
-    (void)kind;
+  for (const KindName& entry : kKindNames) {
     if (!out.empty()) out += ", ";
-    out += name;
+    out += entry.name;
   }
   return out;
 }
@@ -116,8 +136,8 @@ Status read_probability(const Json& event, const char* key, const char* kind,
 }  // namespace
 
 const char* to_string(EventKind kind) {
-  for (const auto& [k, name] : kKindNames) {
-    if (k == kind) return name;
+  for (const KindName& entry : kKindNames) {
+    if (entry.kind == kind) return entry.name;
   }
   return "unknown";
 }
@@ -178,6 +198,13 @@ Result<ScenarioSpec> ScenarioSpec::from_json(const Json& json) {
   if (!json.is_object()) {
     return Status::invalid_argument("scenario spec must be a JSON object");
   }
+  if (Status s = check_keys(json,
+                            "name description horizon_s testbed topology "
+                            "record churn events",
+                            "the spec");
+      !s) {
+    return s;
+  }
   ScenarioSpec spec;
   const Json* name = json.find("name");
   if (name == nullptr || !name->is_string() || name->as_string().empty()) {
@@ -194,6 +221,15 @@ Result<ScenarioSpec> ScenarioSpec::from_json(const Json& json) {
   if (const Json* tb = json.find("testbed")) {
     if (!tb->is_object()) {
       return Status::invalid_argument("'testbed' must be an object");
+    }
+    if (Status s = check_keys(*tb,
+                              "control_period_ms evidence_threshold "
+                              "dormant_delay_s level_setpoint third_controller "
+                              "link_loss promotion_timeout_s head_beacon_s "
+                              "dissemination",
+                              "'testbed'");
+        !s) {
+      return s;
     }
     auto& cfg = spec.testbed;
     double control_period_ms = cfg.control_period.to_seconds() * 1e3;
@@ -231,18 +267,6 @@ Result<ScenarioSpec> ScenarioSpec::from_json(const Json& json) {
     cfg.promotion_timeout = util::Duration::from_seconds(promotion_timeout_s);
     if (!cfg.promotion_timeout.is_positive()) {
       return Status::invalid_argument("'promotion_timeout_s' must be positive");
-    }
-    if (const Json* v = tb->find("head_bound_tree_unicast")) {
-      if (!v->is_bool()) {
-        return Status::invalid_argument("'head_bound_tree_unicast' must be a boolean");
-      }
-      cfg.head_bound_tree_unicast = v->as_bool();
-    }
-    if (const Json* v = tb->find("mac_unicast_priority")) {
-      if (!v->is_bool()) {
-        return Status::invalid_argument("'mac_unicast_priority' must be a boolean");
-      }
-      cfg.mac_unicast_priority = v->as_bool();
     }
     double head_beacon_s = cfg.head_beacon_period.to_seconds();
     if (Status s = read_number(*tb, "head_beacon_s", head_beacon_s); !s) return s;
@@ -300,6 +324,13 @@ Result<ScenarioSpec> ScenarioSpec::from_json(const Json& json) {
     if (!churn->is_object()) {
       return Status::invalid_argument("'churn' must be an object");
     }
+    if (Status s = check_keys(*churn,
+                              "outages_per_minute outage_s start_s "
+                              "end_margin_s rng_salt",
+                              "'churn'");
+        !s) {
+      return s;
+    }
     spec.churn.enabled = true;
     if (Status s = read_number(*churn, "outages_per_minute",
                                spec.churn.outages_per_minute); !s) return s;
@@ -336,20 +367,26 @@ Result<ScenarioSpec> ScenarioSpec::from_json(const Json& json) {
         if (verb == nullptr || !verb->is_string()) {
           return Status::invalid_argument("event requires a string 'do' field");
         }
-        FaultEvent e;
-        bool known = false;
-        for (const auto& [kind, kind_name] : kKindNames) {
-          if (verb->as_string() == kind_name) {
-            e.kind = kind;
-            known = true;
+        const KindName* known = nullptr;
+        for (const KindName& entry : kKindNames) {
+          if (verb->as_string() == entry.name) {
+            known = &entry;
             break;
           }
         }
-        if (!known) {
+        if (known == nullptr) {
           return Status::invalid_argument("unknown event '" + verb->as_string() +
                                           "' (known: " + known_kinds() + ")");
         }
-        const char* kind_name = to_string(e.kind);
+        FaultEvent e;
+        e.kind = known->kind;
+        const char* kind_name = known->name;
+        std::string keys = "do at_s ";
+        keys += known->keys;
+        if (Status s = check_keys(entry, keys, "event '" + std::string(kind_name) + "'");
+            !s) {
+          return s;
+        }
         auto at_s = require_number(entry, "at_s", kind_name);
         if (!at_s) return at_s.status();
         e.at_s = *at_s;
@@ -513,6 +550,7 @@ Json ScenarioSpec::to_json() const {
   tb.set("evidence_threshold", static_cast<std::int64_t>(testbed.evidence_threshold));
   tb.set("dormant_delay_s", testbed.dormant_delay.to_seconds());
   tb.set("promotion_timeout_s", testbed.promotion_timeout.to_seconds());
+  tb.set("head_beacon_s", testbed.head_beacon_period.to_seconds());
   tb.set("level_setpoint", testbed.level_setpoint);
   tb.set("third_controller", testbed.third_controller);
   tb.set("link_loss", testbed.link_loss);

@@ -169,15 +169,10 @@ void TestbedBuilder::build_nodes() {
     if (multi_hop_) {
       if (tree_cache_ != nullptr) {
         nodes_[entry.id]->router().enable_tree_dissemination(tree_cache_.get());
-        if (config_.head_bound_tree_unicast) {
-          nodes_[entry.id]->router().set_head_bound_tree_unicast(true);
-        }
       } else {
         nodes_[entry.id]->router().enable_flooding();
       }
-      if (config_.mac_unicast_priority) {
-        nodes_[entry.id]->mac().set_unicast_priority(true);
-      }
+      nodes_[entry.id]->mac().set_unicast_priority(true);
       nodes_[entry.id]->router().set_default_ttl(ttl);
     }
     services_[entry.id] =

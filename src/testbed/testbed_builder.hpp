@@ -44,18 +44,6 @@ struct GasPlantTestbedConfig {
   double level_setpoint = 50.0;
   /// Broadcast dissemination scheme (see DisseminationMode).
   DisseminationMode dissemination = DisseminationMode::kAuto;
-  /// Route head-bound unicasts (fault reports) up the dissemination tree's
-  /// parent chain so they ride the frame's inbound mirror pass instead of
-  /// paying one frame per hop over arbitrary shortest paths. Off by
-  /// default to keep historical scenario baselines bit-stable; large
-  /// worlds (hundreds of nodes) want it on.
-  bool head_bound_tree_unicast = false;
-  /// Drain unicast control traffic (fault reports, mode commands) ahead of
-  /// queued broadcast relays at every MAC. Saturated many-hop worlds
-  /// otherwise make each control hop wait out the standing flood traffic
-  /// (one frame per hop — minutes end to end at 1000 nodes). Off by
-  /// default to keep historical scenario baselines bit-stable.
-  bool mac_unicast_priority = false;
   /// Fig. 5 only: include the third controller replica (Ctrl-C) in the VC.
   bool third_controller = false;
   /// Fig. 5 only: per-link packet loss probability.

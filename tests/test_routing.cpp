@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
+#include "net/dissemination.hpp"
 #include "net/medium.hpp"
 #include "net/routing.hpp"
 #include "net/rtlink.hpp"
@@ -44,10 +47,12 @@ struct RoutingFixture : ::testing::Test {
   void run_for(util::Duration d) { sim.run_until(sim.now() + d); }
 };
 
-/// A MAC with no air: the test hands it frames as if they had arrived.
+/// A MAC with no air: the test hands it frames as if they had arrived, and
+/// drains what it queued by hand.
 class LoopbackMac : public Mac {
  public:
   using Mac::Mac;
+  using Mac::dequeue;
   void start() override {}
   void stop() override {}
   void arrive(const Packet& packet) { deliver_up(packet); }
@@ -124,6 +129,112 @@ TEST_F(DedupFixture, SeqWrapAndHighSourceIds) {
   EXPECT_TRUE(offer(0x8000, 65500));  // evicts 65501
   EXPECT_TRUE(offer(0x8000, 65501));
   EXPECT_FALSE(offer(0x8000, 65535));
+}
+
+Packet frame(NodeId dst, std::uint8_t type) {
+  Packet p;
+  p.dst = dst;
+  p.type = type;
+  return p;
+}
+
+/// Packet types in the order the MAC hands them to the air.
+std::vector<std::uint8_t> drain(LoopbackMac& mac) {
+  std::vector<std::uint8_t> order;
+  while (auto p = mac.dequeue()) order.push_back(p->type);
+  return order;
+}
+
+TEST(Mac, UnicastPriorityLaneDrainsAheadOfBroadcasts) {
+  sim::Simulator sim{1};
+  Topology topo;
+  Medium medium{sim, topo};
+  Radio radio{sim, medium, 1};
+  LoopbackMac mac{sim, radio, /*queue_capacity=*/2};
+
+  // Without the lane the MAC is one FIFO.
+  ASSERT_TRUE(mac.send(frame(kBroadcast, 1)));
+  ASSERT_TRUE(mac.send(frame(5, 2)));
+  EXPECT_EQ(drain(mac), (std::vector<std::uint8_t>{1, 2}));
+
+  // With it, unicasts queued behind broadcasts go first; each lane keeps
+  // its own FIFO order and its own capacity.
+  mac.set_unicast_priority(true);
+  ASSERT_TRUE(mac.send(frame(kBroadcast, 1)));
+  ASSERT_TRUE(mac.send(frame(kBroadcast, 2)));
+  ASSERT_TRUE(mac.send(frame(5, 3)));
+  ASSERT_TRUE(mac.send(frame(6, 4)));
+  EXPECT_EQ(mac.queue_depth(), 4u);
+  EXPECT_EQ(mac.stats().queue_drops, 0u);
+
+  // A full lane refuses and counts the drop.
+  const util::Status full = mac.send(frame(7, 5));
+  EXPECT_EQ(full.code(), util::StatusCode::kResourceExhausted);
+  EXPECT_EQ(mac.stats().queue_drops, 1u);
+  EXPECT_FALSE(mac.send(frame(kBroadcast, 6)));
+  EXPECT_EQ(mac.stats().queue_drops, 2u);
+
+  EXPECT_EQ(drain(mac), (std::vector<std::uint8_t>{3, 4, 1, 2}));
+}
+
+/// Node 7 reaches the root 1 over two equal-length paths. Topology::next_hop
+/// takes the lower-id neighbour (2, via 9); the dissemination tree, pruned
+/// to the single target 7, keeps the first-discovered one (3, via 5). Nodes
+/// 2 and 9 are off the tree.
+struct TreeUnicastFixture : ::testing::Test {
+  sim::Simulator sim{1};
+  Topology topo = [] {
+    Topology t;
+    for (const auto& [a, b] : {std::pair<NodeId, NodeId>{1, 5}, {1, 9}, {5, 3},
+                               {9, 2}, {3, 7}, {2, 7}}) {
+      t.set_link(a, b, {true, 0.0});
+    }
+    return t;
+  }();
+  Medium medium{sim, topo};
+  DisseminationTreeCache cache{topo, 1, {7}};
+
+  struct Stack {
+    std::unique_ptr<Radio> radio;
+    std::unique_ptr<LoopbackMac> mac;
+    std::unique_ptr<Router> router;
+  };
+  std::map<NodeId, Stack> stacks;
+
+  void make_node(NodeId id) {
+    auto& s = stacks[id];
+    s.radio = std::make_unique<Radio>(sim, medium, id);
+    s.mac = std::make_unique<LoopbackMac>(sim, *s.radio);
+    s.router = std::make_unique<Router>(*s.mac, topo);
+    s.router->enable_tree_dissemination(&cache);
+  }
+
+  /// Link-layer destination of the frame `from` queued for `destination`.
+  NodeId first_hop(NodeId from, NodeId destination) {
+    EXPECT_TRUE(stacks.at(from).router->send(destination, 1, {}));
+    auto packet = stacks.at(from).mac->dequeue();
+    return packet ? packet->dst : kInvalidNode;
+  }
+};
+
+TEST_F(TreeUnicastFixture, RootBoundUnicastClimbsTheTreeParentChain) {
+  ASSERT_EQ(cache.tree().parent(7), 3);
+  ASSERT_EQ(topo.next_hop(7, 1), std::optional<NodeId>(2));
+  make_node(7);
+  EXPECT_EQ(first_hop(7, 1), 3);
+}
+
+TEST_F(TreeUnicastFixture, OtherDestinationsAndOffTreeNodesUseNextHop) {
+  make_node(7);
+  ASSERT_EQ(topo.next_hop(7, 9), std::optional<NodeId>(2));
+  EXPECT_EQ(first_hop(7, 9), 2);  // not the root: shortest path
+
+  ASSERT_FALSE(cache.tree().contains(2));
+  make_node(2);
+  EXPECT_EQ(first_hop(2, 1), 9);  // off the tree: shortest path
+
+  stacks.at(7).router->enable_flooding();  // flood mode has no tree to climb
+  EXPECT_EQ(first_hop(7, 1), 2);
 }
 
 TEST(Datagram, EncodeDecodeRoundTrip) {

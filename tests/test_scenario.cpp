@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <sstream>
+#include <vector>
 
 #include "scenario/campaign.hpp"
 #include "scenario/runner.hpp"
@@ -322,6 +325,107 @@ TEST(ScenarioSpec, ShippedScenariosStillParseAndRoundTrip) {
     auto reparsed = ScenarioSpec::from_json(spec->to_json());
     ASSERT_TRUE(reparsed.ok()) << entry.file;
     EXPECT_EQ(reparsed->to_json().dump(), spec->to_json().dump()) << entry.file;
+  }
+}
+
+/// Field-by-field equality of everything a spec file sets. Comparing two
+/// to_json() dumps cannot catch a field the serializer drops, since both
+/// sides drop it alike.
+void expect_same_experiment(const ScenarioSpec& a, const ScenarioSpec& b,
+                            const std::string& file) {
+  SCOPED_TRACE(file);
+  EXPECT_EQ(a.name, b.name);
+  EXPECT_EQ(a.description, b.description);
+  EXPECT_EQ(a.horizon_s, b.horizon_s);
+  const auto& x = a.testbed;
+  const auto& y = b.testbed;
+  EXPECT_EQ(x.control_period.ns(), y.control_period.ns());
+  EXPECT_EQ(x.evidence_threshold, y.evidence_threshold);
+  EXPECT_EQ(x.dormant_delay.ns(), y.dormant_delay.ns());
+  EXPECT_EQ(x.promotion_timeout.ns(), y.promotion_timeout.ns());
+  EXPECT_EQ(x.head_beacon_period.ns(), y.head_beacon_period.ns());
+  EXPECT_EQ(x.level_setpoint, y.level_setpoint);
+  EXPECT_EQ(x.dissemination, y.dissemination);
+  EXPECT_EQ(x.third_controller, y.third_controller);
+  EXPECT_EQ(x.link_loss, y.link_loss);
+  EXPECT_EQ(x.topology.to_json().dump(), y.topology.to_json().dump());
+  EXPECT_EQ(a.record, b.record);
+  EXPECT_EQ(a.churn.enabled, b.churn.enabled);
+  EXPECT_EQ(a.churn.outages_per_minute, b.churn.outages_per_minute);
+  EXPECT_EQ(a.churn.outage_s, b.churn.outage_s);
+  EXPECT_EQ(a.churn.start_s, b.churn.start_s);
+  EXPECT_EQ(a.churn.end_margin_s, b.churn.end_margin_s);
+  EXPECT_EQ(a.churn.rng_salt, b.churn.rng_salt);
+  ASSERT_EQ(a.events.size(), b.events.size());
+  for (std::size_t i = 0; i < a.events.size(); ++i) {
+    SCOPED_TRACE("events[" + std::to_string(i) + "]");
+    const FaultEvent& e = a.events[i];
+    const FaultEvent& f = b.events[i];
+    EXPECT_EQ(e.at_s, f.at_s);
+    EXPECT_EQ(e.kind, f.kind);
+    EXPECT_EQ(e.node, f.node);
+    EXPECT_EQ(e.a, f.a);
+    EXPECT_EQ(e.b, f.b);
+    EXPECT_EQ(e.value, f.value);
+    EXPECT_EQ(e.duration_s, f.duration_s);
+    EXPECT_EQ(e.burst.p_good_loss, f.burst.p_good_loss);
+    EXPECT_EQ(e.burst.p_bad_loss, f.burst.p_bad_loss);
+    EXPECT_EQ(e.burst.p_good_to_bad, f.burst.p_good_to_bad);
+    EXPECT_EQ(e.burst.p_bad_to_good, f.burst.p_bad_to_good);
+    EXPECT_EQ(e.count, f.count);
+    EXPECT_EQ(e.interval_ms, f.interval_ms);
+  }
+}
+
+TEST(ScenarioSpec, SpecEchoRebuildsEveryShippedExperiment) {
+  // A campaign report's spec echo is to_json(); spec_hash hashes it and
+  // --merge trusts it. Parsed back, it must be the experiment the file
+  // describes, field by field.
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(EVM_REPO_SCENARIOS_DIR)) {
+    if (entry.path().extension() == ".json") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_GE(files.size(), 12u);
+  for (const auto& file : files) {
+    auto spec = ScenarioSpec::load_file(file.string());
+    ASSERT_TRUE(spec.ok()) << spec.status().to_string();
+    auto echo = ScenarioSpec::from_json(spec->to_json());
+    ASSERT_TRUE(echo.ok()) << file << ": " << echo.status().to_string();
+    expect_same_experiment(*spec, *echo, file.filename().string());
+  }
+}
+
+TEST(ScenarioSpec, RejectsUnknownKeysInEverySection) {
+  // A misspelled key left unread would keep its field at the default and
+  // run a different experiment than the file describes.
+  const struct {
+    const char* text;
+    const char* key;
+    const char* section;
+  } cases[] = {
+      {R"({"name": "x", "horizon": 30})", "horizon", "the spec"},
+      {R"({"name": "x", "testbed": {"evidence_treshold": 6}})",
+       "evidence_treshold", "'testbed'"},
+      {R"({"name": "x", "churn": {"outage_s": 4, "outages_per_min": 9}})",
+       "outages_per_min", "'churn'"},
+      {R"({"name": "x", "events": [{"at_s": 5, "do": "node_crash", "nod": "ctrl_a"}]})",
+       "nod", "event 'node_crash'"},
+      // A key valid for another event kind is still foreign here.
+      {R"({"name": "x", "events": [
+         {"at_s": 5, "do": "primary_fault", "value": 75},
+         {"at_s": 6, "do": "clear_primary_fault", "value": 75}]})",
+       "value", "events[1]: unknown key 'value' in event 'clear_primary_fault'"},
+  };
+  for (const auto& c : cases) {
+    auto spec = parse(c.text);
+    ASSERT_FALSE(spec.ok()) << c.text;
+    EXPECT_EQ(spec.status().code(), util::StatusCode::kInvalidArgument);
+    const std::string& message = spec.status().message();
+    EXPECT_NE(message.find(std::string("'") + c.key + "'"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find(c.section), std::string::npos) << message;
   }
 }
 
