@@ -2,11 +2,12 @@
 // for control, data and fault communication within the virtual component";
 // these are the wire messages of those three planes, carried as routed
 // datagrams over RT-Link. All encodings are explicit little-endian via
-// ByteWriter/ByteReader.
+// ByteWriter/ByteReader, and each message states its layout once.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/modes.hpp"
@@ -47,22 +48,65 @@ enum class MsgType : std::uint8_t {
   kMigrationAbort = 0x36,
 };
 
+/// Wire codec shared by every message: `Msg::fields(msg, f)` passes the
+/// fields to `f` in wire order, and both directions walk that one list.
+/// Enums travel as one byte and byte vectors as length-prefixed blobs.
+template <typename Msg>
+struct Wire {
+  std::vector<std::uint8_t> encode() const {
+    util::ByteWriter w;
+    Msg::fields(static_cast<const Msg&>(*this),
+                [&w](const auto&... field) { (put(w, field), ...); });
+    return w.take();
+  }
+  static bool decode(std::span<const std::uint8_t> bytes, Msg& out) {
+    util::ByteReader r(bytes);
+    Msg::fields(out, [&r](auto&... field) { (get(r, field), ...); });
+    return r.ok();
+  }
+
+ private:
+  template <typename T>
+  static void put(util::ByteWriter& w, const T& v) {
+    static_assert(!std::is_enum_v<T> || sizeof(T) == 1, "enums travel as one byte");
+    if constexpr (std::is_enum_v<T>) w.u8(static_cast<std::uint8_t>(v));
+    else if constexpr (std::is_same_v<T, std::uint8_t>) w.u8(v);
+    else if constexpr (std::is_same_v<T, std::uint16_t>) w.u16(v);
+    else if constexpr (std::is_same_v<T, std::uint32_t>) w.u32(v);
+    else if constexpr (std::is_same_v<T, std::int64_t>) w.i64(v);
+    else if constexpr (std::is_same_v<T, double>) w.f64(v);
+    else w.blob(v);
+  }
+  template <typename T>
+  static void get(util::ByteReader& r, T& v) {
+    if constexpr (std::is_enum_v<T>) v = static_cast<T>(r.u8());
+    else if constexpr (std::is_same_v<T, std::uint8_t>) v = r.u8();
+    else if constexpr (std::is_same_v<T, std::uint16_t>) v = r.u16();
+    else if constexpr (std::is_same_v<T, std::uint32_t>) v = r.u32();
+    else if constexpr (std::is_same_v<T, std::int64_t>) v = r.i64();
+    else if constexpr (std::is_same_v<T, double>) v = r.f64();
+    else v = r.blob();
+  }
+};
+
 /// Data plane: a published sensor or derived stream sample. `seq` is a
 /// per-(publisher, stream) sequence number used by causal-conditional
 /// object transfers; `timestamp_ns` drives temporal-conditional ones.
-struct SensorDataMsg {
+struct SensorDataMsg : Wire<SensorDataMsg> {
   VcId vc = 0;
   std::uint8_t stream = 0;
   double value = 0.0;
   std::int64_t timestamp_ns = 0;
   std::uint32_t seq = 0;
 
-  std::vector<std::uint8_t> encode() const;
-  static bool decode(std::span<const std::uint8_t> bytes, SensorDataMsg& out);
+  template <typename M, typename F>
+  static void fields(M& m, F&& f) {
+    f(m.vc, m.stream, m.value, m.timestamp_ns, m.seq);
+  }
 };
 
 /// Data plane: actuation command from the Active controller.
-struct ActuationMsg {
+struct ActuationMsg : Wire<ActuationMsg> {
   VcId vc = 0;
   FunctionId function = 0;
   std::uint8_t channel = 0;
@@ -70,15 +114,17 @@ struct ActuationMsg {
   net::NodeId source = net::kInvalidNode;
   std::uint32_t cycle = 0;
 
-  std::vector<std::uint8_t> encode() const;
-  static bool decode(std::span<const std::uint8_t> bytes, ActuationMsg& out);
+  template <typename M, typename F>
+  static void fields(M& m, F&& f) {
+    f(m.vc, m.function, m.channel, m.value, m.source, m.cycle);
+  }
 };
 
 /// Control plane: periodic liveness + mode + last output (health transfers
 /// piggyback on this; backups compare `output` with their own computation).
 /// `epoch` carries the replica's last accepted mode-command epoch so a
 /// succeeding head can resume arbitration without issuing stale commands.
-struct HeartbeatMsg {
+struct HeartbeatMsg : Wire<HeartbeatMsg> {
   VcId vc = 0;
   FunctionId function = 0;
   net::NodeId node = net::kInvalidNode;
@@ -87,30 +133,36 @@ struct HeartbeatMsg {
   std::uint32_t cycle = 0;
   std::uint32_t epoch = 0;
 
-  std::vector<std::uint8_t> encode() const;
-  static bool decode(std::span<const std::uint8_t> bytes, HeartbeatMsg& out);
+  template <typename M, typename F>
+  static void fields(M& m, F&& f) {
+    f(m.vc, m.function, m.node, m.mode, m.output, m.cycle, m.epoch);
+  }
 };
 
 /// Control plane: the current head's liveness beacon. Members that stop
 /// hearing it elect the lowest-id surviving member as the new head.
-struct HeadBeaconMsg {
+struct HeadBeaconMsg : Wire<HeadBeaconMsg> {
   VcId vc = 0;
   net::NodeId head = net::kInvalidNode;
 
-  std::vector<std::uint8_t> encode() const;
-  static bool decode(std::span<const std::uint8_t> bytes, HeadBeaconMsg& out);
+  template <typename M, typename F>
+  static void fields(M& m, F&& f) {
+    f(m.vc, m.head);
+  }
 };
 
 /// Control plane: the VC head reassigns a controller's mode.
-struct ModeCommandMsg {
+struct ModeCommandMsg : Wire<ModeCommandMsg> {
   VcId vc = 0;
   FunctionId function = 0;
   net::NodeId target = net::kInvalidNode;
   ControllerMode mode = ControllerMode::kDormant;
   std::uint32_t epoch = 0;  // monotone per (vc, function); stale commands ignored
 
-  std::vector<std::uint8_t> encode() const;
-  static bool decode(std::span<const std::uint8_t> bytes, ModeCommandMsg& out);
+  template <typename M, typename F>
+  static void fields(M& m, F&& f) {
+    f(m.vc, m.function, m.target, m.mode, m.epoch);
+  }
 };
 
 /// Fault plane: a backup reports a suspect primary to the VC head.
@@ -120,7 +172,7 @@ enum class FaultReason : std::uint8_t {
   kSelfReported = 3,    // node announced its own failure (battery, ...)
 };
 
-struct FaultReportMsg {
+struct FaultReportMsg : Wire<FaultReportMsg> {
   VcId vc = 0;
   FunctionId function = 0;
   net::NodeId suspect = net::kInvalidNode;
@@ -130,25 +182,30 @@ struct FaultReportMsg {
   double expected = 0.0;
   std::uint32_t evidence = 0;  // consecutive faulty cycles observed
 
-  std::vector<std::uint8_t> encode() const;
-  static bool decode(std::span<const std::uint8_t> bytes, FaultReportMsg& out);
+  template <typename M, typename F>
+  static void fields(M& m, F&& f) {
+    f(m.vc, m.function, m.suspect, m.reporter, m.reason, m.observed, m.expected,
+      m.evidence);
+  }
 };
 
 /// Membership: a node joining (or re-joining) a virtual component.
-struct MembershipHelloMsg {
+struct MembershipHelloMsg : Wire<MembershipHelloMsg> {
   VcId vc = 0;
   net::NodeId node = net::kInvalidNode;
   double cpu_headroom = 0.0;   // 1 - utilization
   std::uint32_t ram_free = 0;  // bytes
   std::uint8_t battery_percent = 100;
 
-  std::vector<std::uint8_t> encode() const;
-  static bool decode(std::span<const std::uint8_t> bytes, MembershipHelloMsg& out);
+  template <typename M, typename F>
+  static void fields(M& m, F&& f) {
+    f(m.vc, m.node, m.cpu_headroom, m.ram_free, m.battery_percent);
+  }
 };
 
 /// Parametric control: a pre-defined EVM library operation applied remotely
 /// (only commands originating at the VC head are honoured).
-struct ParametricCommandMsg {
+struct ParametricCommandMsg : Wire<ParametricCommandMsg> {
   enum class Op : std::uint8_t {
     kSetTaskPriority = 1,    // a = function, b = new priority
     kSetSlotAssignment = 2,  // a = slot index, b = transmitter node
@@ -161,24 +218,28 @@ struct ParametricCommandMsg {
   std::uint16_t arg_b = 0;
   std::int64_t arg_c = 0;
 
-  std::vector<std::uint8_t> encode() const;
-  static bool decode(std::span<const std::uint8_t> bytes, ParametricCommandMsg& out);
+  template <typename M, typename F>
+  static void fields(M& m, F&& f) {
+    f(m.vc, m.op, m.arg_a, m.arg_b, m.arg_c);
+  }
 };
 
 /// Programmable control: a new algorithm capsule for a function, installed
 /// after attestation if its version is newer ("remote algorithm activation").
-struct AlgorithmUpdateMsg {
+struct AlgorithmUpdateMsg : Wire<AlgorithmUpdateMsg> {
   VcId vc = 0;
   FunctionId function = 0;
   std::vector<std::uint8_t> capsule_bytes;
 
-  std::vector<std::uint8_t> encode() const;
-  static bool decode(std::span<const std::uint8_t> bytes, AlgorithmUpdateMsg& out);
+  template <typename M, typename F>
+  static void fields(M& m, F&& f) {
+    f(m.vc, m.function, m.capsule_bytes);
+  }
 };
 
 // --- Migration protocol ----------------------------------------------------
 
-struct MigrationOfferMsg {
+struct MigrationOfferMsg : Wire<MigrationOfferMsg> {
   VcId vc = 0;
   FunctionId function = 0;
   std::uint16_t session = 0;
@@ -188,38 +249,49 @@ struct MigrationOfferMsg {
   double required_utilization = 0.0;
   std::uint32_t required_ram = 0;
 
-  std::vector<std::uint8_t> encode() const;
-  static bool decode(std::span<const std::uint8_t> bytes, MigrationOfferMsg& out);
+  template <typename M, typename F>
+  static void fields(M& m, F&& f) {
+    f(m.vc, m.function, m.session, m.total_bytes, m.chunk_count, m.required_utilization,
+      m.required_ram);
+  }
 };
 
-struct MigrationReplyMsg {  // accept or reject
+struct MigrationReplyMsg : Wire<MigrationReplyMsg> {  // accept or reject
   std::uint16_t session = 0;
   std::uint8_t accept = 0;
-  std::vector<std::uint8_t> encode() const;
-  static bool decode(std::span<const std::uint8_t> bytes, MigrationReplyMsg& out);
+  template <typename M, typename F>
+  static void fields(M& m, F&& f) {
+    f(m.session, m.accept);
+  }
 };
 
-struct StateChunkMsg {
+struct StateChunkMsg : Wire<StateChunkMsg> {
   std::uint16_t session = 0;
   std::uint16_t index = 0;
   std::vector<std::uint8_t> data;
 
-  std::vector<std::uint8_t> encode() const;
-  static bool decode(std::span<const std::uint8_t> bytes, StateChunkMsg& out);
+  template <typename M, typename F>
+  static void fields(M& m, F&& f) {
+    f(m.session, m.index, m.data);
+  }
 };
 
-struct ChunkAckMsg {
+struct ChunkAckMsg : Wire<ChunkAckMsg> {
   std::uint16_t session = 0;
   std::uint16_t index = 0;
-  std::vector<std::uint8_t> encode() const;
-  static bool decode(std::span<const std::uint8_t> bytes, ChunkAckMsg& out);
+  template <typename M, typename F>
+  static void fields(M& m, F&& f) {
+    f(m.session, m.index);
+  }
 };
 
-struct MigrationCommitMsg {
+struct MigrationCommitMsg : Wire<MigrationCommitMsg> {
   std::uint16_t session = 0;
   std::uint8_t success = 0;  // destination's verdict after attestation+admission
-  std::vector<std::uint8_t> encode() const;
-  static bool decode(std::span<const std::uint8_t> bytes, MigrationCommitMsg& out);
+  template <typename M, typename F>
+  static void fields(M& m, F&& f) {
+    f(m.session, m.success);
+  }
 };
 
 }  // namespace evm::core

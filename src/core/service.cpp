@@ -19,10 +19,9 @@ bool seq_advanced(std::uint16_t seq, std::uint16_t last) {
 EvmService::EvmService(Node& node, VcDescriptor descriptor, FailoverPolicy policy)
     : node_(node),
       descriptor_(std::move(descriptor)),
-      policy_(policy),
       migration_(node.simulator(), node.router()),
       guard_(descriptor_, node.id()),
-      members_(descriptor_.members),
+      arbiter_(node.id(), policy),
       head_id_(descriptor_.head) {
   node_.router().set_receive_handler(
       [this](const net::Datagram& d) { on_datagram(d); });
@@ -48,10 +47,10 @@ util::Status EvmService::start() {
   last_beacon_ = node_.simulator().now();
 
   // Head liveness: the head beacons; every member supervises the beacon and
-  // runs the deterministic lowest-id succession when it goes silent.
+  // runs the deterministic succession when it goes silent.
   rtos::TaskParams beacon_params;
   beacon_params.name = "evm-beacon";
-  beacon_params.period = policy_.head_beacon_period;
+  beacon_params.period = arbiter_.policy().head_beacon_period;
   beacon_params.wcet = util::Duration::micros(200);
   beacon_params.priority = 1;
   auto beacon = node_.kernel().admit_task(beacon_params, [this] {
@@ -82,35 +81,24 @@ util::Status EvmService::start() {
       ++beacons_suppressed_;
     }
     tagged_sends_at_last_tick_ = node_.router().tagged_broadcast_sends();
-    supervise_functions();
+    for (const auto& decision : arbiter_.on_beacon_tick(node_.simulator().now())) {
+      apply(decision);
+    }
   });
-  if (beacon) {
-    beacon_task_ = *beacon;
-    (void)node_.kernel().start_task(beacon_task_);
-  }
+  if (beacon) (void)node_.kernel().start_task(*beacon);
 
   for (const auto& [fid, function] : descriptor_.functions) {
-    const ControllerMode initial = descriptor_.initial_mode(fid, node_.id());
-    last_active_seen_[fid] = node_.simulator().now();
-    if (is_head()) {
-      auto rit = descriptor_.replicas.find(fid);
-      if (rit != descriptor_.replicas.end()) {
-        for (net::NodeId replica : rit->second) {
-          roles_.set_mode(fid, replica, descriptor_.initial_mode(fid, replica));
-        }
+    arbiter_.start_function(fid, node_.simulator().now());
+    auto rit = descriptor_.replicas.find(fid);
+    if (is_head() && rit != descriptor_.replicas.end()) {
+      for (net::NodeId replica : rit->second) {
+        arbiter_.set_mode(fid, replica, descriptor_.initial_mode(fid, replica));
       }
     }
-    if (initial == ControllerMode::kDormant &&
-        descriptor_.initial_mode(fid, node_.id()) == ControllerMode::kDormant) {
-      // Not a replica of this function on this node — nothing to install,
-      // unless migration later brings it here.
-      auto rit = descriptor_.replicas.find(fid);
-      const bool replica_here =
-          rit != descriptor_.replicas.end() &&
-          std::find(rit->second.begin(), rit->second.end(), node_.id()) !=
-              rit->second.end();
-      if (!replica_here) continue;
-    }
+    const ControllerMode initial = descriptor_.initial_mode(fid, node_.id());
+    // Not a replica of this function on this node — nothing to install,
+    // unless migration later brings it here.
+    if (initial == ControllerMode::kDormant) continue;
     util::Status status = install_function(function, initial, nullptr);
     if (!status) return status;
   }
@@ -276,7 +264,7 @@ util::Status EvmService::set_mode(FunctionId function, ControllerMode mode) {
   rt.mode = mode;
   // Mirror own role locally so that, should this node ever assume headship,
   // its arbitration table already covers itself.
-  roles_.set_mode(function, node_.id(), mode);
+  arbiter_.set_mode(function, node_.id(), mode);
   if (mode == ControllerMode::kActive) {
     // An Active replica observes nobody; reset its observer state.
     rt.monitors.clear();
@@ -391,15 +379,12 @@ void EvmService::run_health_checks(FunctionId function, FunctionRuntime& rt) {
   }
   if (is_head()) {
     // Local shortcut: the head observed the fault itself.
-    handle_fault_report(net::Datagram{
-        node_.id(), node_.id(), static_cast<std::uint8_t>(MsgType::kFaultReport), 0,
-        0, false, {}, report.encode()});
+    apply(arbiter_.on_fault_report(report, node_.simulator().now()));
   } else {
     (void)node_.router().send(head_id_,
                               static_cast<std::uint8_t>(MsgType::kFaultReport),
                               report.encode());
   }
-  if (on_fault_report_) on_fault_report_(report);
 }
 
 void EvmService::on_datagram(const net::Datagram& d) {
@@ -449,152 +434,14 @@ void EvmService::handle_heartbeat(const net::Datagram& d) {
   HeartbeatMsg msg;
   if (!HeartbeatMsg::decode(d.payload, msg) || msg.vc != descriptor_.id) return;
   if (msg.node == node_.id()) return;
-  // Every member passively mirrors the role table and epoch floors from
-  // heartbeats so a succeeding head can resume arbitration seamlessly. The
-  // acting head trusts its own commands over (possibly stale) heartbeats.
-  if (!is_head()) {
-    if (msg.mode == ControllerMode::kActive) {
-      // A mirrored Active displaces any other cached Active: the mirror
-      // must stay single-Active or a successor head would inherit an
-      // ambiguous table and arbitrate against the wrong incumbent.
-      for (const auto& [node, mode] : roles_.replicas(msg.function)) {
-        if (node != msg.node && mode == ControllerMode::kActive) {
-          roles_.set_mode(msg.function, node, ControllerMode::kBackup);
-        }
-      }
-    }
-    roles_.set_mode(msg.function, msg.node, msg.mode);
-  }
-  roles_.observe_epoch(msg.function, msg.epoch);
   if (msg.mode == ControllerMode::kActive) {
     observe_active_output(msg.function, msg.node, msg.output);
-    if (is_head()) {
-      last_active_heartbeat_[{msg.function, msg.node}] = node_.simulator().now();
-    }
   }
-  if (is_head()) resupervise_on_heartbeat(msg);
-}
-
-void EvmService::resupervise_on_heartbeat(const HeartbeatMsg& msg) {
-  if (descriptor_.functions.count(msg.function) == 0) return;
-  const auto active = roles_.active(msg.function);
-
-  if (msg.mode == ControllerMode::kActive) {
-    if (active.has_value() && *active == msg.node) {
-      last_active_seen_[msg.function] = node_.simulator().now();
-      return;
-    }
-    if (active.has_value()) {
-      // Two replicas claim Active. The command epoch arbitrates: a stale
-      // rejoiner (restarted with its pre-crash mode, or holding a demote
-      // that got lost) carries an epoch older than the head's latest
-      // promotion and is demoted; a claimant at or above it means the role
-      // table itself is stale (e.g. a direct migration moved the Active
-      // without head involvement) and is adopted instead.
-      auto pe = last_promote_epoch_.find(msg.function);
-      const std::uint32_t promote_epoch =
-          pe == last_promote_epoch_.end() ? 0 : pe->second;
-      if (msg.epoch < promote_epoch) {
-        // One demote per silence window: in a many-hop world the command
-        // takes several frames to land, and the stale claimant keeps
-        // heartbeating Active the whole way. Re-sending on every such
-        // heartbeat floods the exact path the pending demote is crawling.
-        const util::TimePoint now = node_.simulator().now();
-        auto dit = last_stale_demote_.find({msg.function, msg.node});
-        if (dit == last_stale_demote_.end() ||
-            now - dit->second > policy_.head_beacon_period *
-                                    policy_.beacon_loss_threshold) {
-          last_stale_demote_[{msg.function, msg.node}] = now;
-          EVM_INFO(kTag, "head: demoting stale Active node " << msg.node
-                         << " (function " << msg.function << ", node "
-                         << *active << " is in charge since epoch "
-                         << promote_epoch << ")");
-          send_mode_command(msg.function, msg.node, ControllerMode::kBackup);
-        }
-        roles_.set_mode(msg.function, msg.node, ControllerMode::kBackup);
-      } else {
-        roles_.set_mode(msg.function, *active, ControllerMode::kBackup);
-        roles_.set_mode(msg.function, msg.node, ControllerMode::kActive);
-        last_active_seen_[msg.function] = node_.simulator().now();
-      }
-    } else {
-      // Nobody was in charge per the table; adopt the claimant.
-      roles_.set_mode(msg.function, msg.node, ControllerMode::kActive);
-      last_active_seen_[msg.function] = node_.simulator().now();
-    }
-    return;
+  if (is_head()) {
+    apply(arbiter_.on_heartbeat(msg, node_.simulator().now()));
+  } else {
+    arbiter_.mirror_heartbeat(msg);
   }
-
-  if (msg.mode == ControllerMode::kBackup &&
-      roles_.mode(msg.function, msg.node) == ControllerMode::kDormant) {
-    // Written off (e.g. a promotion target that was down) but demonstrably
-    // alive again: restore it to the arbitration pool.
-    roles_.set_mode(msg.function, msg.node, ControllerMode::kBackup);
-  }
-  if (!active.has_value() && msg.mode == ControllerMode::kBackup) {
-    // Supervised retry: escalation ran out of replicas earlier, but a live
-    // Backup just heartbeat — promote it instead of staying stuck forever.
-    EVM_INFO(kTag, "head: retrying promotion with rejoined node " << msg.node
-                   << " (function " << msg.function << ")");
-    promote_replica(msg.function, msg.node, /*record_event=*/true);
-  }
-}
-
-void EvmService::supervise_functions() {
-  const util::TimePoint now = node_.simulator().now();
-  for (const auto& [fid, fn] : descriptor_.functions) {
-    (void)fn;
-    const auto active = roles_.active(fid);
-    if (active.has_value()) {
-      if (*active == node_.id()) continue;  // self: trivially alive
-      auto it = last_active_seen_.find(fid);
-      if (it == last_active_seen_.end()) continue;  // not started yet
-      if (now - it->second > policy_.active_silence_timeout) {
-        // Backstop silence detection: with every Backup gone there is no
-        // passive observer left to report the dead Active.
-        EVM_WARN(kTag, "head: Active node " << *active << " silent for "
-                       << (now - it->second).to_seconds() << " s (function "
-                       << fid << "); re-arbitrating");
-        last_active_seen_[fid] = now;  // re-arm; failover resets the clock
-        head_failover(fid, *active, FaultReason::kSilent);
-      }
-      continue;
-    }
-    // No Active replica at all: quiet retry over live-looking Backups only.
-    // Indicator replicas are excluded deliberately — Indicator is the
-    // graceful-degradation floor for a replica with confirmed-bad output.
-    std::optional<net::NodeId> candidate;
-    for (const auto& [node, mode] : roles_.replicas(fid)) {
-      if (mode != ControllerMode::kBackup) continue;
-      if (!candidate.has_value() || node < *candidate) candidate = node;
-    }
-    if (candidate.has_value()) {
-      promote_replica(fid, *candidate, /*record_event=*/false);
-    }
-  }
-}
-
-void EvmService::promote_replica(FunctionId function, net::NodeId node,
-                                 bool record_event) {
-  if (trace_ != nullptr) {
-    util::Json args = util::Json::object();
-    args.set("function", static_cast<std::int64_t>(function));
-    args.set("promoted", static_cast<std::int64_t>(node));
-    trace_->instant(node_.id(), "core.service", "promote",
-                    node_.simulator().now(), std::move(args));
-  }
-  if (record_event) {
-    FailoverEvent event;
-    event.when = node_.simulator().now();
-    event.function = function;
-    event.promoted = node;
-    event.reason = FaultReason::kSilent;
-    failovers_.push_back(event);
-  }
-  send_mode_command(function, node, ControllerMode::kActive);
-  roles_.set_mode(function, node, ControllerMode::kActive);
-  last_active_seen_[function] = node_.simulator().now();
-  supervise_promotion(function, node);
 }
 
 void EvmService::handle_head_beacon(const net::Datagram& d) {
@@ -605,8 +452,7 @@ void EvmService::handle_head_beacon(const net::Datagram& d) {
     // reclaims the role); a higher-id claimant is adopted only if our own
     // head has gone silent (we would be about to elect it anyway).
     const bool our_head_silent =
-        node_.simulator().now() - last_beacon_ >
-        policy_.head_beacon_period * policy_.beacon_loss_threshold;
+        node_.simulator().now() - last_beacon_ > arbiter_.policy().beacon_silence();
     if (msg.head < head_id_ || our_head_silent) {
       EVM_INFO(kTag, "node " << node_.id() << " adopts node " << msg.head
                              << " as VC head");
@@ -641,8 +487,7 @@ void EvmService::on_beacon_tag(const net::BeaconTag& tag) {
   // (members would re-adopt a corpse off their own stale heartbeat tags).
   // Tags therefore only sway the election once our own head has gone
   // silent; the lower-id-reclaims rule stays on the explicit-beacon path.
-  const bool our_head_silent =
-      now - last_beacon_ > policy_.head_beacon_period * policy_.beacon_loss_threshold;
+  const bool our_head_silent = now - last_beacon_ > arbiter_.policy().beacon_silence();
   // A provisional successor guess holds zero evidence, so the lowest-id-wins
   // rule applies to it immediately: a tag naming a lower-id head displaces
   // the guess without waiting out another full silence window. (A confirmed
@@ -665,8 +510,7 @@ void EvmService::check_head_liveness() {
   // the beacon plane does not reliably reach them, they hold no replicas,
   // and a spurious succession from one of them would only add noise — they
   // sit the election out.
-  const util::Duration silence = node_.simulator().now() - last_beacon_;
-  if (silence <= policy_.head_beacon_period * policy_.beacon_loss_threshold) {
+  if (node_.simulator().now() - last_beacon_ <= arbiter_.policy().beacon_silence()) {
     return;
   }
   // The head timed out: stop re-gossiping its (now stale) tag. Leaving it
@@ -676,12 +520,18 @@ void EvmService::check_head_liveness() {
   // election below out.
   node_.router().set_beacon_tag({});
   if (!node_.router().participates_in_dissemination()) return;
-  // Deterministic succession: lowest-id member other than the dead head.
+  // Deterministic succession: the next member id above the silent head,
+  // wrapping to the lowest. Walking upward means a provisional successor
+  // that is itself dead hands over to the member after it, instead of the
+  // survivors alternating between two corpses.
   net::NodeId successor = net::kInvalidNode;
-  for (net::NodeId member : members_) {
+  net::NodeId lowest = net::kInvalidNode;
+  for (net::NodeId member : descriptor_.members) {
     if (member == head_id_) continue;
-    if (member < successor) successor = member;
+    if (member > head_id_ && member < successor) successor = member;
+    lowest = std::min(lowest, member);
   }
+  if (successor == net::kInvalidNode) successor = lowest;
   if (successor == node_.id()) {
     become_head();
   } else if (successor != net::kInvalidNode) {
@@ -714,20 +564,7 @@ void EvmService::become_head() {
   node_.router().set_beacon_tag({node_.id(), beacon_seq_sent_});
   EVM_INFO(kTag, "node " << node_.id() << " assumes VC head role (succession #"
                          << head_successions_ << ")");
-  // Resume arbitration above every epoch any replica has acknowledged, so
-  // the new head's first command is not discarded as stale. Silence clocks
-  // restart now: judging replicas by heartbeats heard before we were head
-  // would trigger an instant spurious failover. The promotion-epoch floor
-  // starts at the bumped epoch too, so a stale rejoiner claiming Active
-  // (its pre-crash epoch is necessarily below it) is demoted instead of
-  // adopted — without it, two live Actives could flap in the table forever
-  // with neither ever receiving a demote command.
-  for (const auto& [fid, fn] : descriptor_.functions) {
-    (void)fn;
-    roles_.observe_epoch(fid, roles_.epoch(fid) + 100);
-    last_promote_epoch_[fid] = roles_.epoch(fid);
-    last_active_seen_[fid] = node_.simulator().now();
-  }
+  arbiter_.on_become_head(node_.simulator().now());
 }
 
 void EvmService::observe_active_output(FunctionId function, net::NodeId source,
@@ -744,11 +581,16 @@ void EvmService::handle_mode_command(const net::Datagram& d) {
   ModeCommandMsg msg;
   if (!ModeCommandMsg::decode(d.payload, msg) || msg.vc != descriptor_.id) return;
   if (msg.target != node_.id()) return;
-  auto it = functions_.find(msg.function);
+  accept_mode_command(msg.function, msg.mode, msg.epoch);
+}
+
+void EvmService::accept_mode_command(FunctionId function, ControllerMode mode,
+                                     std::uint32_t epoch) {
+  auto it = functions_.find(function);
   if (it == functions_.end()) return;
-  if (msg.epoch <= it->second.last_epoch) return;  // stale command
-  it->second.last_epoch = msg.epoch;
-  (void)set_mode(msg.function, msg.mode);
+  if (epoch <= it->second.last_epoch) return;  // stale command
+  it->second.last_epoch = epoch;
+  (void)set_mode(function, mode);
 }
 
 void EvmService::handle_fault_report(const net::Datagram& d) {
@@ -770,108 +612,79 @@ void EvmService::handle_fault_report(const net::Datagram& d) {
   FaultReportMsg msg;
   if (!FaultReportMsg::decode(d.payload, msg) || msg.vc != descriptor_.id) return;
 
-  const auto key = std::make_pair(msg.function, msg.suspect);
-  const std::uint32_t count = ++report_counts_[key];
-  if (count < policy_.reports_required) return;
-
-  const auto active = roles_.active(msg.function);
-  if (!active.has_value() || *active != msg.suspect) return;  // already handled
-  report_counts_.erase(key);
-  head_failover(msg.function, msg.suspect, msg.reason);
+  apply(arbiter_.on_fault_report(msg, node_.simulator().now()));
 }
 
-void EvmService::head_failover(FunctionId function, net::NodeId suspect,
-                               FaultReason reason) {
-  if (trace_ != nullptr) {
+void EvmService::apply(const HeadArbiter::Decision& decision) {
+  using Cause = HeadArbiter::Cause;
+  const FunctionId function = decision.function;
+  const util::TimePoint now = node_.simulator().now();
+  switch (decision.cause) {
+    case Cause::kSilentActive:
+      EVM_WARN(kTag, "head: Active node " << decision.subject << " silent for "
+                     << decision.silence.to_seconds() << " s (function "
+                     << function << "); re-arbitrating");
+      break;
+    case Cause::kPromotionTimeout:
+      EVM_WARN(kTag, "head: promoted node " << decision.subject
+                     << " never became active; escalating");
+      break;
+    case Cause::kStaleActive:
+      EVM_INFO(kTag, "head: demoting stale Active node " << decision.subject
+                     << " (function " << function << ", node "
+                     << *arbiter_.active(function) << " is in charge since epoch "
+                     << arbiter_.record(function)->promote_epoch << ")");
+      break;
+    case Cause::kRejoinedBackup:
+      EVM_INFO(kTag, "head: retrying promotion with rejoined node "
+                     << decision.subject << " (function " << function << ")");
+      break;
+    default: break;
+  }
+  // A promotion names the replica it raises; a failover names the suspect.
+  const auto& event = decision.failover;
+  const bool promotion =
+      decision.cause == Cause::kRejoinedBackup || decision.cause == Cause::kNoActive;
+  if (trace_ != nullptr && (promotion || event.has_value())) {
     util::Json args = util::Json::object();
     args.set("function", static_cast<std::int64_t>(function));
-    args.set("suspect", static_cast<std::int64_t>(suspect));
-    args.set("reason", static_cast<std::int64_t>(reason));
-    trace_->instant(node_.id(), "core.service", "failover",
-                    node_.simulator().now(), std::move(args));
-  }
-  const auto promoted = roles_.best_backup(function, suspect);
-  FailoverEvent event;
-  event.when = node_.simulator().now();
-  event.function = function;
-  event.demoted = suspect;
-  event.reason = reason;
-
-  if (!promoted.has_value()) {
-    // Graceful degradation floor: nobody to promote; demote the suspect to
-    // Indicator so operators see its (wrong) output flagged, keep looking.
-    send_mode_command(function, suspect, ControllerMode::kIndicator);
-    roles_.set_mode(function, suspect, ControllerMode::kIndicator);
-    failovers_.push_back(event);
-    EVM_WARN(kTag, "head: no backup available for function " << function);
-    return;
-  }
-  event.promoted = *promoted;
-  failovers_.push_back(event);
-  EVM_INFO(kTag, "head: failover function " << function << ": " << suspect
-                 << " -> " << *promoted);
-
-  send_mode_command(function, *promoted, ControllerMode::kActive);
-  roles_.set_mode(function, *promoted, ControllerMode::kActive);
-  last_active_seen_[function] = node_.simulator().now();
-  send_mode_command(function, suspect, ControllerMode::kBackup);
-  roles_.set_mode(function, suspect, ControllerMode::kBackup);
-
-  // T3: park the demoted replica Dormant after the observation window.
-  node_.simulator().schedule_after(policy_.dormant_delay, [this, function, suspect] {
-    if (roles_.mode(function, suspect) == ControllerMode::kBackup) {
-      send_mode_command(function, suspect, ControllerMode::kDormant);
-      roles_.set_mode(function, suspect, ControllerMode::kDormant);
+    if (promotion) {
+      args.set("promoted", static_cast<std::int64_t>(decision.subject));
+    } else {
+      args.set("suspect", static_cast<std::int64_t>(decision.subject));
+      args.set("reason", static_cast<std::int64_t>(event->reason));
     }
-  });
-
-  supervise_promotion(function, *promoted);
-}
-
-void EvmService::supervise_promotion(FunctionId function, net::NodeId promoted) {
-  // Promotion supervision: a promoted replica that never heartbeats as
-  // Active within the timeout has itself failed; move on to the next one.
-  // A node written off here is restored to the pool by resupervise_on_
-  // heartbeat the moment it comes back and heartbeats — the retry the
-  // fuzzer's promoted-node-was-down repro demanded.
-  const util::TimePoint promoted_at = node_.simulator().now();
-  node_.simulator().schedule_after(
-      policy_.promotion_timeout, [this, function, promoted, promoted_at] {
-        const auto active = roles_.active(function);
-        if (!active.has_value() || *active != promoted) return;
-        if (node_.id() == promoted) return;  // self-promotion: trivially alive
-        auto it = last_active_heartbeat_.find({function, promoted});
-        if (it != last_active_heartbeat_.end() && it->second >= promoted_at) {
-          return;  // alive and in charge
-        }
-        EVM_WARN(kTag, "head: promoted node " << promoted
-                       << " never became active; escalating");
-        head_failover(function, promoted, FaultReason::kSilent);
-        // The dead promotee must not be re-picked by future arbitrations
-        // (until a live heartbeat re-admits it).
-        roles_.set_mode(function, promoted, ControllerMode::kDormant);
-      });
-}
-
-void EvmService::send_mode_command(FunctionId function, net::NodeId target,
-                                   ControllerMode mode) {
-  ModeCommandMsg cmd;
-  cmd.vc = descriptor_.id;
-  cmd.function = function;
-  cmd.target = target;
-  cmd.mode = mode;
-  cmd.epoch = roles_.bump_epoch(function);
-  if (mode == ControllerMode::kActive) last_promote_epoch_[function] = cmd.epoch;
-  if (target == node_.id()) {
-    auto it = functions_.find(function);
-    if (it != functions_.end() && cmd.epoch > it->second.last_epoch) {
-      it->second.last_epoch = cmd.epoch;
-      (void)set_mode(function, mode);
-    }
-    return;
+    trace_->instant(node_.id(), "core.service", promotion ? "promote" : "failover",
+                    now, std::move(args));
   }
-  (void)node_.router().send(target, static_cast<std::uint8_t>(MsgType::kModeCommand),
-                            cmd.encode());
+  const bool stranded = event.has_value() && event->promoted == net::kInvalidNode;
+  if (event.has_value()) {
+    failovers_.push_back(*event);
+    if (!promotion && !stranded) {
+      EVM_INFO(kTag, "head: failover function " << function << ": "
+                     << decision.subject << " -> " << event->promoted);
+    }
+  }
+  for (const auto& c : decision.commands) {
+    if (c.target == node_.id()) {
+      accept_mode_command(function, c.mode, c.epoch);
+      continue;
+    }
+    ModeCommandMsg cmd;
+    cmd.vc = descriptor_.id;
+    cmd.function = function;
+    cmd.target = c.target;
+    cmd.mode = c.mode;
+    cmd.epoch = c.epoch;
+    (void)node_.router().send(c.target, static_cast<std::uint8_t>(MsgType::kModeCommand),
+                              cmd.encode());
+  }
+  if (stranded) EVM_WARN(kTag, "head: no backup available for function " << function);
+  for (const auto& timer : decision.timers) {
+    node_.simulator().schedule_after(timer.after, [this, function, timer] {
+      apply(arbiter_.on_deadline(function, timer, node_.simulator().now()));
+    });
+  }
 }
 
 void EvmService::announce_membership() {
@@ -892,8 +705,7 @@ void EvmService::handle_membership_hello(const net::Datagram& d) {
   if (!is_head()) return;
   MembershipHelloMsg msg;
   if (!MembershipHelloMsg::decode(d.payload, msg) || msg.vc != descriptor_.id) return;
-  if (std::find(members_.begin(), members_.end(), msg.node) == members_.end()) {
-    members_.push_back(msg.node);
+  if (!descriptor_.is_member(msg.node)) {
     descriptor_.members.push_back(msg.node);
     EVM_INFO(kTag, "head: admitted node " << msg.node << " to VC "
                    << descriptor_.id);
@@ -910,7 +722,7 @@ std::size_t EvmService::rebalance(double keep_cost) {
     (void)fn;
     fids.push_back(fid);
   }
-  std::vector<net::NodeId> nodes = members_;
+  std::vector<net::NodeId> nodes = descriptor_.members;
   std::sort(nodes.begin(), nodes.end());
   // The head itself typically doubles as the gateway; it stays eligible.
 
@@ -920,7 +732,7 @@ std::size_t EvmService::rebalance(double keep_cost) {
     const ControlFunction& def = descriptor_.functions.at(fid);
     task_util.push_back(def.task.utilization());
     std::vector<double> row(nodes.size(), keep_cost);
-    const auto active = roles_.active(fid);
+    const auto active = arbiter_.active(fid);
     for (std::size_t n = 0; n < nodes.size(); ++n) {
       if (active.has_value() && nodes[n] == *active) row[n] = 0.0;
     }
@@ -940,7 +752,7 @@ std::size_t EvmService::rebalance(double keep_cost) {
   for (std::size_t t = 0; t < fids.size(); ++t) {
     const FunctionId fid = fids[t];
     const net::NodeId target = nodes[solution->assignment[t]];
-    const auto active = roles_.active(fid);
+    const auto active = arbiter_.active(fid);
     if (active.has_value() && *active == target) continue;
 
     ++moved;
@@ -949,19 +761,14 @@ std::size_t EvmService::rebalance(double keep_cost) {
       migrate_function(fid, target, ControllerMode::kActive,
                        [this, fid, target](const MigrationOutcome& outcome) {
                          if (outcome.success) {
-                           roles_.set_mode(fid, target, ControllerMode::kActive);
+                           arbiter_.set_mode(fid, target, ControllerMode::kActive);
                          }
                        });
     } else {
       // Promote the target (it becomes Active; a replica set that does not
       // yet include it needs a migration from the current holder, which the
       // head requests by demoting the holder after promotion).
-      send_mode_command(fid, target, ControllerMode::kActive);
-      roles_.set_mode(fid, target, ControllerMode::kActive);
-      if (active.has_value()) {
-        send_mode_command(fid, *active, ControllerMode::kBackup);
-        roles_.set_mode(fid, *active, ControllerMode::kBackup);
-      }
+      apply(arbiter_.hand_over(fid, target));
     }
   }
   return moved;
@@ -1044,7 +851,7 @@ util::Status EvmService::disseminate_algorithm(FunctionId function,
   w.u8(2);  // payload kind: algorithm update
   w.bytes(encoded);
   const auto payload = w.take();
-  for (net::NodeId member : members_) {
+  for (net::NodeId member : descriptor_.members) {
     if (member == node_.id()) continue;
     MigrationOfferMsg meta;
     meta.vc = descriptor_.id;

@@ -2,7 +2,8 @@
 // (paper §2.2 / Fig. 3). It owns the bytecode interpreter instances for the
 // control functions this node replicates, the data/control/fault message
 // planes, the health monitors (passive observation of the Active replica),
-// the head-side failover arbitration and the migration engine.
+// the plumbing around the head's failover arbiter (core/arbiter.hpp) and
+// the migration engine.
 #pragma once
 
 #include <functional>
@@ -11,6 +12,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/arbiter.hpp"
 #include "core/health.hpp"
 #include "core/messages.hpp"
 #include "core/migration.hpp"
@@ -23,38 +25,6 @@
 #include "vm/attestation.hpp"
 
 namespace evm::core {
-
-struct FailoverPolicy {
-  /// Fault reports required before the head acts (1 = act on first report).
-  std::uint32_t reports_required = 1;
-  /// Delay between demoting the suspect to Backup and parking it Dormant
-  /// (the paper's T3 - T2 = 200 s).
-  util::Duration dormant_delay = util::Duration::seconds(200);
-  /// Promotion supervision: if a freshly promoted replica does not
-  /// heartbeat in Active mode within this window, the head treats it as
-  /// failed too and promotes the next backup (prevents a stall when the
-  /// arbitration picks a node that died without ever being observed).
-  util::Duration promotion_timeout = util::Duration::seconds(2);
-  /// Head succession: the head broadcasts a liveness beacon at this period;
-  /// members that miss `beacon_loss_threshold` consecutive beacons elect
-  /// the lowest-id surviving member as the new head. Lowest id always wins:
-  /// a returning original head reclaims the role.
-  util::Duration head_beacon_period = util::Duration::seconds(1);
-  std::uint32_t beacon_loss_threshold = 5;
-  /// Head-side backstop detector: when the Active replica of a function has
-  /// not heartbeat in Active mode for this long, the head treats it as
-  /// silently failed and re-arbitrates — even with no live Backup left to
-  /// observe it (the passive-observation path needs one).
-  util::Duration active_silence_timeout = util::Duration::seconds(5);
-};
-
-struct FailoverEvent {
-  util::TimePoint when;
-  FunctionId function = 0;
-  net::NodeId demoted = net::kInvalidNode;
-  net::NodeId promoted = net::kInvalidNode;
-  FaultReason reason = FaultReason::kImplausibleOutput;
-};
 
 class EvmService {
  public:
@@ -69,7 +39,7 @@ class EvmService {
   /// Current head (succession may move it off descriptor().head).
   net::NodeId head_id() const { return head_id_; }
   bool is_head() const { return node_.id() == head_id_; }
-  RoleTable& roles() { return roles_; }
+  HeadArbiter& arbiter() { return arbiter_; }
 
   // --- Observability -------------------------------------------------------
   ControllerMode mode(FunctionId function) const;
@@ -160,9 +130,6 @@ class EvmService {
   void set_on_mode_change(std::function<void(FunctionId, ControllerMode)> hook) {
     on_mode_change_ = std::move(hook);
   }
-  void set_on_fault_report(std::function<void(const FaultReportMsg&)> hook) {
-    on_fault_report_ = std::move(hook);
-  }
   void set_on_member_joined(std::function<void(const MembershipHelloMsg&)> hook) {
     on_member_joined_ = std::move(hook);
   }
@@ -173,7 +140,7 @@ class EvmService {
   }
 
   /// Current members as known here (head keeps the authoritative list).
-  const std::vector<net::NodeId>& members() const { return members_; }
+  const std::vector<net::NodeId>& members() const { return descriptor_.members; }
 
  private:
   struct FunctionRuntime {
@@ -213,20 +180,10 @@ class EvmService {
   void on_beacon_tag(const net::BeaconTag& tag);
   void check_head_liveness();
   void become_head();
-  /// Head, on every heartbeat: re-supervise the sender. A restarted replica
-  /// re-joining with its stale pre-crash mode is demoted (someone else is
-  /// Active) or re-admitted (it was written off as Dormant); a live Backup
-  /// heartbeat while no replica is Active triggers the supervised
-  /// promotion retry the escalation path needs when its target was down.
-  void resupervise_on_heartbeat(const HeartbeatMsg& msg);
-  /// Head, once per beacon: re-arbitrate functions with no Active replica
-  /// and fail over functions whose Active has gone silent past the policy
-  /// timeout (the backstop when no Backup is left to observe it).
-  void supervise_functions();
-  /// Promote `node`, arm the promotion-supervision timer, and optionally
-  /// log a FailoverEvent (quiet retries do not inflate failover metrics).
-  void promote_replica(FunctionId function, net::NodeId node, bool record_event);
-  void supervise_promotion(FunctionId function, net::NodeId promoted);
+  /// Act on an arbiter decision in the order the arbiter made it: trace and
+  /// log its cause, record its failover, send (or self-apply) its mode
+  /// commands and schedule its deadlines.
+  void apply(const HeadArbiter::Decision& decision);
   void handle_parametric(const net::Datagram& d);
   void handle_algorithm_update(const net::Datagram& d);
   void transfer_function(FunctionId function, net::NodeId dest,
@@ -234,46 +191,30 @@ class EvmService {
                          std::function<void(const MigrationOutcome&)> on_done);
   void observe_active_output(FunctionId function, net::NodeId source,
                              double output);
-  void head_failover(FunctionId function, net::NodeId suspect, FaultReason reason);
-  void send_mode_command(FunctionId function, net::NodeId target,
-                         ControllerMode mode);
+  /// Take a mode command from the head (or self-apply one as the head)
+  /// unless its epoch is stale.
+  void accept_mode_command(FunctionId function, ControllerMode mode,
+                           std::uint32_t epoch);
   bool accept_migrated_function(const MigrationOfferMsg& meta,
                                 const std::vector<std::uint8_t>& payload);
 
   Node& node_;
   VcDescriptor descriptor_;
-  FailoverPolicy policy_;
   obs::TraceRecorder* trace_ = nullptr;
   MigrationEngine migration_;
   TransferGuard guard_;
-  RoleTable roles_;
+  HeadArbiter arbiter_;
   std::map<FunctionId, FunctionRuntime> functions_;
   std::map<std::uint8_t, double> streams_;
   std::map<std::uint8_t, std::uint32_t> stream_seq_;
-  std::map<std::pair<FunctionId, net::NodeId>, std::uint32_t> report_counts_;
-  /// Head: last time each replica heartbeat in Active mode (supervision).
-  std::map<std::pair<FunctionId, net::NodeId>, util::TimePoint> last_active_heartbeat_;
-  /// Head: last time a stale-Active demote was re-sent to each replica
-  /// (rate limit — one per beacon-silence window while the command is in
-  /// transit; see resupervise_on_heartbeat).
-  std::map<std::pair<FunctionId, net::NodeId>, util::TimePoint> last_stale_demote_;
-  /// Head: last evidence that *some* replica is actively in charge of the
-  /// function (heartbeat, promotion, or service start).
-  std::map<FunctionId, util::TimePoint> last_active_seen_;
-  /// Head: epoch of the latest Active-mode command issued per function;
-  /// heartbeats claiming Active below it are stale rejoiners.
-  std::map<FunctionId, std::uint32_t> last_promote_epoch_;
   std::vector<FailoverEvent> failovers_;
-  std::vector<net::NodeId> members_;
   std::function<void(const ActuationMsg&)> actuation_handler_;
   std::function<void(FunctionId, ControllerMode)> on_mode_change_;
-  std::function<void(const FaultReportMsg&)> on_fault_report_;
   std::function<void(const MembershipHelloMsg&)> on_member_joined_;
   std::function<void(const SensorDataMsg&)> on_stream_;
   std::size_t fault_reports_sent_ = 0;
   net::NodeId head_id_ = net::kInvalidNode;
   util::TimePoint last_beacon_;
-  rtos::TaskId beacon_task_ = rtos::kInvalidTask;
   std::size_t head_successions_ = 0;
   /// Head: own beacon sequence (bumped once per beacon period, stamped into
   /// every outgoing frame via the router's tag).

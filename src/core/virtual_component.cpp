@@ -56,71 +56,4 @@ std::vector<ObjectTransfer> VcDescriptor::health_transfers_from(
   return out;
 }
 
-void RoleTable::set_mode(FunctionId function, net::NodeId node, ControllerMode mode) {
-  modes_[function][node] = mode;
-}
-
-ControllerMode RoleTable::mode(FunctionId function, net::NodeId node) const {
-  auto fit = modes_.find(function);
-  if (fit == modes_.end()) return ControllerMode::kDormant;
-  auto nit = fit->second.find(node);
-  return nit == fit->second.end() ? ControllerMode::kDormant : nit->second;
-}
-
-std::optional<net::NodeId> RoleTable::active(FunctionId function) const {
-  auto fit = modes_.find(function);
-  if (fit == modes_.end()) return std::nullopt;
-  for (const auto& [node, mode] : fit->second) {
-    if (mode == ControllerMode::kActive) return node;
-  }
-  return std::nullopt;
-}
-
-std::optional<net::NodeId> RoleTable::best_backup(FunctionId function,
-                                                  net::NodeId excluding) const {
-  auto fit = modes_.find(function);
-  if (fit == modes_.end()) return std::nullopt;
-  std::optional<net::NodeId> best;
-  ControllerMode best_mode = ControllerMode::kDormant;
-  for (const auto& [node, mode] : fit->second) {
-    if (node == excluding || mode == ControllerMode::kActive) continue;
-    // Backup(1) < Indicator(2) < Active(3) numerically, but preference order
-    // is Backup > Indicator > Dormant: a Backup has warm state.
-    auto rank = [](ControllerMode m) {
-      switch (m) {
-        case ControllerMode::kBackup: return 3;
-        case ControllerMode::kIndicator: return 2;
-        case ControllerMode::kDormant: return 1;
-        default: return 0;
-      }
-    };
-    if (!best.has_value() || rank(mode) > rank(best_mode)) {
-      best = node;
-      best_mode = mode;
-    }
-  }
-  return best;
-}
-
-std::uint32_t RoleTable::bump_epoch(FunctionId function) { return ++epochs_[function]; }
-
-std::uint32_t RoleTable::epoch(FunctionId function) const {
-  auto it = epochs_.find(function);
-  return it == epochs_.end() ? 0 : it->second;
-}
-
-void RoleTable::observe_epoch(FunctionId function, std::uint32_t epoch) {
-  auto& current = epochs_[function];
-  current = std::max(current, epoch);
-}
-
-std::vector<std::pair<net::NodeId, ControllerMode>> RoleTable::replicas(
-    FunctionId function) const {
-  std::vector<std::pair<net::NodeId, ControllerMode>> out;
-  auto fit = modes_.find(function);
-  if (fit == modes_.end()) return out;
-  for (const auto& [node, mode] : fit->second) out.emplace_back(node, mode);
-  return out;
-}
-
 }  // namespace evm::core

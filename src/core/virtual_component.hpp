@@ -2,7 +2,8 @@
 // inter-connected communicating physical components defined by object
 // transfer relationships", acting as a single entity for control algorithm
 // execution. The descriptor is the design-time artifact; the runtime state
-// (modes, epochs, membership) lives in EvmService instances and at the head.
+// (modes, epochs, membership) lives in EvmService instances and in the
+// head's HeadArbiter.
 #pragma once
 
 #include <map>
@@ -88,29 +89,6 @@ struct VcDescriptor {
   ControllerMode initial_mode(FunctionId function, net::NodeId node) const;
   /// Health-assessment transfers where `observer` watches someone.
   std::vector<ObjectTransfer> health_transfers_from(net::NodeId observer) const;
-};
-
-/// Head-side runtime view of a function's replica set: who is in which mode
-/// and the command epoch (stale ModeCommands are discarded by comparing it).
-class RoleTable {
- public:
-  void set_mode(FunctionId function, net::NodeId node, ControllerMode mode);
-  ControllerMode mode(FunctionId function, net::NodeId node) const;
-  std::optional<net::NodeId> active(FunctionId function) const;
-  /// Best candidate to promote: highest-mode non-active replica, preferring
-  /// Backup over Indicator over Dormant; ties by ascending node id.
-  std::optional<net::NodeId> best_backup(FunctionId function,
-                                         net::NodeId excluding) const;
-  std::uint32_t bump_epoch(FunctionId function);
-  std::uint32_t epoch(FunctionId function) const;
-  /// Raise the epoch floor (heartbeats advertise replicas' accepted epochs;
-  /// a succeeding head resumes above them so its commands are honoured).
-  void observe_epoch(FunctionId function, std::uint32_t epoch);
-  std::vector<std::pair<net::NodeId, ControllerMode>> replicas(FunctionId function) const;
-
- private:
-  std::map<FunctionId, std::map<net::NodeId, ControllerMode>> modes_;
-  std::map<FunctionId, std::uint32_t> epochs_;
 };
 
 }  // namespace evm::core

@@ -12,9 +12,10 @@ using util::Json;
 namespace {
 
 /// Default gated metrics and their tolerances. Counters backed by the
-/// deterministic simulator (failed runs, failover count) are exact; timing
-/// and plant metrics carry relative headroom plus an absolute floor so a
-/// near-zero expectation does not turn into a zero-tolerance gate.
+/// deterministic simulator (failed runs, failover count, runs ending with
+/// a backup Active) are exact; timing and plant metrics carry relative
+/// headroom plus an absolute floor so a near-zero expectation does not
+/// turn into a zero-tolerance gate.
 struct MetricDefault {
   const char* path;
   double rel_tol;
@@ -24,6 +25,7 @@ struct MetricDefault {
 constexpr MetricDefault kDefaults[] = {
     {"runs_failed", 0.0, 0.0},
     {"failovers_detected", 0.0, 0.0},
+    {"backups_active", 0.0, 0.0},
     {"failover_latency_s.p50", 0.30, 1.5},
     {"failover_latency_s.p99", 0.30, 1.5},
     {"missed_deadlines.mean", 0.50, 10.0},

@@ -9,7 +9,8 @@ namespace {
 using util::Json;
 
 /// A minimal campaign report shaped like write_campaign_report's output.
-Json make_report(double p99, double slots_per_bcast, double runs_failed) {
+Json make_report(double p99, double slots_per_bcast, double runs_failed,
+                 double backups_active = 5) {
   Json report = Json::object();
   report.set("scenario", "unit-scenario");
   Json spec = Json::object();
@@ -24,6 +25,7 @@ Json make_report(double p99, double slots_per_bcast, double runs_failed) {
   aggregate.set("runs_ok", 5.0 - runs_failed);
   aggregate.set("runs_failed", runs_failed);
   aggregate.set("failovers_detected", 5);
+  aggregate.set("backups_active", backups_active);
   Json latency = Json::object();
   latency.set("p50", p99 * 0.8);
   latency.set("p99", p99);
@@ -172,6 +174,26 @@ TEST(Baseline, FailedRunsAreExact) {
   Json baselines = Json::object();
   ASSERT_TRUE(upsert_baseline(baselines, make_report(8.0, 12.0, 0)));
   EXPECT_FALSE(check_against_baseline(baselines, make_report(8.0, 12.0, 1)).ok);
+}
+
+TEST(Baseline, FewerBackupsActiveFails) {
+  // A run that ends with the faulty primary still Active keeps every plant
+  // metric inside its tolerance; only the exact backups_active count
+  // notices that the failover did not stick.
+  Json baselines = Json::object();
+  ASSERT_TRUE(upsert_baseline(baselines, make_report(8.0, 12.0, 0)));
+  EXPECT_TRUE(check_against_baseline(baselines, make_report(8.0, 12.0, 0)).ok);
+  const BaselineCheck check =
+      check_against_baseline(baselines, make_report(8.0, 12.0, 0, 4));
+  EXPECT_FALSE(check.ok);
+  bool saw_row = false;
+  for (const BaselineRow& row : check.rows) {
+    if (row.metric == "backups_active") {
+      saw_row = true;
+      EXPECT_FALSE(row.ok);
+    }
+  }
+  EXPECT_TRUE(saw_row);
 }
 
 TEST(Baseline, MissingScenarioAndShapeMismatchAreErrors) {

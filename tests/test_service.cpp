@@ -383,7 +383,7 @@ TEST_F(ServiceFixture, ReplicatedBackupCanTakeOver) {
                                   });
   run_for(util::Duration::seconds(15));
   ASSERT_TRUE(success);
-  services[1]->roles().set_mode(kLoop, 4, ControllerMode::kBackup);
+  services[1]->arbiter().set_mode(kLoop, 4, ControllerMode::kBackup);
 
   // Kill both original replicas; the spawned copy must win arbitration.
   nodes[2]->fail();
@@ -538,6 +538,22 @@ TEST_F(ServiceFixture, HeadFailureElectsLowestSurvivingMember) {
   EXPECT_EQ(services[2]->head_successions(), 1u);
   EXPECT_EQ(services[3]->head_id(), 2);
   EXPECT_EQ(services[4]->head_id(), 2);
+}
+
+TEST_F(ServiceFixture, HeadAndSuccessorFailureElectsNextMember) {
+  start();
+  run_for(util::Duration::seconds(2));
+  // The head and its deterministic successor die together. The survivors
+  // first adopt 2 provisionally; when 2 stays silent too, succession moves
+  // on to 3 instead of falling back to the dead head 1.
+  nodes[1]->fail();
+  nodes[2]->fail();
+  run_for(util::Duration::seconds(60));
+  EXPECT_TRUE(services[3]->is_head());
+  EXPECT_EQ(services[3]->head_successions(), 1u);
+  EXPECT_EQ(services[4]->head_id(), 3);
+  // The new head also fails the dead primary 2 over to itself.
+  EXPECT_EQ(services[3]->mode(kLoop), ControllerMode::kActive);
 }
 
 TEST_F(ServiceFixture, SuccessorHeadArbitratesFailover) {

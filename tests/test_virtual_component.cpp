@@ -55,53 +55,5 @@ TEST(TransferType, Names) {
   EXPECT_STREQ(to_string(FaultResponse::kFailSafe), "fail-safe");
 }
 
-TEST(RoleTable, ModesAndActive) {
-  RoleTable roles;
-  EXPECT_EQ(roles.mode(1, 3), ControllerMode::kDormant);
-  roles.set_mode(1, 3, ControllerMode::kActive);
-  roles.set_mode(1, 4, ControllerMode::kBackup);
-  EXPECT_EQ(roles.active(1), 3);
-  EXPECT_EQ(roles.mode(1, 4), ControllerMode::kBackup);
-  EXPECT_FALSE(roles.active(2).has_value());
-}
-
-TEST(RoleTable, BestBackupPrefersWarmState) {
-  RoleTable roles;
-  roles.set_mode(1, 3, ControllerMode::kActive);
-  roles.set_mode(1, 4, ControllerMode::kIndicator);
-  roles.set_mode(1, 5, ControllerMode::kBackup);
-  roles.set_mode(1, 6, ControllerMode::kDormant);
-  EXPECT_EQ(roles.best_backup(1, 3), 5);   // Backup beats Indicator
-  roles.set_mode(1, 5, ControllerMode::kDormant);
-  EXPECT_EQ(roles.best_backup(1, 3), 4);   // Indicator beats Dormant
-  roles.set_mode(1, 4, ControllerMode::kDormant);
-  EXPECT_EQ(roles.best_backup(1, 3), 4);   // Dormant: lowest id among 4, 5, 6
-}
-
-TEST(RoleTable, BestBackupExcludesSuspectAndActive) {
-  RoleTable roles;
-  roles.set_mode(1, 3, ControllerMode::kActive);
-  roles.set_mode(1, 4, ControllerMode::kBackup);
-  EXPECT_EQ(roles.best_backup(1, 4), std::nullopt);  // only candidate excluded
-}
-
-TEST(RoleTable, EpochsAreMonotonePerFunction) {
-  RoleTable roles;
-  EXPECT_EQ(roles.epoch(1), 0u);
-  EXPECT_EQ(roles.bump_epoch(1), 1u);
-  EXPECT_EQ(roles.bump_epoch(1), 2u);
-  EXPECT_EQ(roles.bump_epoch(2), 1u);  // independent counter
-  EXPECT_EQ(roles.epoch(1), 2u);
-}
-
-TEST(RoleTable, ReplicasListing) {
-  RoleTable roles;
-  roles.set_mode(1, 3, ControllerMode::kActive);
-  roles.set_mode(1, 4, ControllerMode::kBackup);
-  const auto replicas = roles.replicas(1);
-  EXPECT_EQ(replicas.size(), 2u);
-  EXPECT_TRUE(roles.replicas(9).empty());
-}
-
 }  // namespace
 }  // namespace evm::core
