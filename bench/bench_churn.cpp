@@ -12,7 +12,7 @@
 #include "harness.hpp"
 #include "net/link_dynamics.hpp"
 #include "sim/simulator.hpp"
-#include "testbed/gas_plant_testbed.hpp"
+#include "testbed/testbed_builder.hpp"
 #include "util/stats.hpp"
 
 using namespace evm;
@@ -36,7 +36,7 @@ ChurnResult run_level(int outages_per_minute, int trials) {
     config.evidence_threshold = 8;
     config.dormant_delay = util::Duration::seconds(5);
     config.seed = 100 + static_cast<std::uint64_t>(trial);
-    testbed::GasPlantTestbed tb(config);
+    testbed::TestbedBuilder tb(config);
 
     // Random 4-second outages across the mesh at the requested rate.
     net::TopologyScript script(tb.sim(), tb.topology());

@@ -9,7 +9,7 @@
 #include <iostream>
 
 #include "harness.hpp"
-#include "testbed/gas_plant_testbed.hpp"
+#include "testbed/testbed_builder.hpp"
 #include "util/stats.hpp"
 
 using namespace evm;
@@ -21,7 +21,7 @@ util::Samples measure(util::Duration control_period) {
   testbed::GasPlantTestbedConfig config;
   config.control_period = control_period;
   config.evidence_threshold = 1 << 30;  // no failover interference
-  testbed::GasPlantTestbed tb(config);
+  testbed::TestbedBuilder tb(config);
 
   // Latency from the timestamp embedded in the level sample to the moment
   // the actuator node applies a valve command computed from (at latest)

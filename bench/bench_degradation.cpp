@@ -15,14 +15,14 @@
 #include <iostream>
 
 #include "harness.hpp"
-#include "testbed/gas_plant_testbed.hpp"
+#include "testbed/testbed_builder.hpp"
 
 using namespace evm;
 using TB = testbed::TestbedIds;
 
 namespace {
 
-std::string active_name(testbed::GasPlantTestbed& tb) {
+std::string active_name(testbed::TestbedBuilder& tb) {
   for (auto [id, name] : {std::pair<net::NodeId, const char*>{TB::kCtrlA, "Ctrl-A"},
                           {TB::kCtrlB, "Ctrl-B"},
                           {TB::kCtrlC, "Ctrl-C"}}) {
@@ -44,10 +44,10 @@ struct PhaseOutcome {
 
 PhaseOutcome run_scenario(bool deviation_detection) {
   testbed::GasPlantTestbedConfig config;
-  config.third_controller = true;
+  config.topology = testbed::default_fig5_topology(/*third_controller=*/true);
   config.evidence_threshold = deviation_detection ? 8 : (1 << 30);
   config.dormant_delay = util::Duration::seconds(5);
-  testbed::GasPlantTestbed tb(config);
+  testbed::TestbedBuilder tb(config);
   tb.start();
 
   double max_error = 0.0;

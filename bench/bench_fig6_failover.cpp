@@ -9,7 +9,7 @@
 #include <iostream>
 
 #include "harness.hpp"
-#include "testbed/gas_plant_testbed.hpp"
+#include "testbed/testbed_builder.hpp"
 
 using namespace evm;
 using TB = testbed::TestbedIds;
@@ -18,7 +18,7 @@ int main() {
   std::cout << "=== E1 / Fig. 6(b): fault-tolerant wireless controller failover ===\n\n";
 
   testbed::GasPlantTestbedConfig config;  // paper-default thresholds
-  testbed::GasPlantTestbed tb(config);
+  testbed::TestbedBuilder tb(config);
   tb.hil().record("LTS-LiqPctLevel", "LTS.LiquidPercentLevel");
   tb.hil().record("SepLiq-MolarFlow", "SepLiq.MolarFlow");
   tb.hil().record("LTSLiq-MolarFlow", "LTSLiq.MolarFlow");

@@ -12,7 +12,7 @@
 // Run:  ./reprogramming
 #include <iostream>
 
-#include "testbed/gas_plant_testbed.hpp"
+#include "testbed/testbed_builder.hpp"
 
 using namespace evm;
 using TB = testbed::TestbedIds;
@@ -20,7 +20,7 @@ using TB = testbed::TestbedIds;
 int main() {
   testbed::GasPlantTestbedConfig config;
   config.evidence_threshold = 1 << 30;  // failover out of the picture here
-  testbed::GasPlantTestbed tb(config);
+  testbed::TestbedBuilder tb(config);
   tb.start();
   tb.run_until(util::Duration::seconds(120));
   std::cout << "t=120s  level " << tb.plant().lts_level_percent()

@@ -29,7 +29,6 @@ enum class MsgType : std::uint8_t {
   kHeartbeat = 0x10,
   kModeCommand = 0x11,
   kMembershipHello = 0x12,
-  kMembershipWelcome = 0x13,
   kHeadBeacon = 0x14,
   // Fault plane
   kFaultReport = 0x20,
@@ -45,7 +44,6 @@ enum class MsgType : std::uint8_t {
   kStateChunk = 0x33,
   kChunkAck = 0x34,
   kMigrationCommit = 0x35,
-  kMigrationAbort = 0x36,
 };
 
 /// Wire codec shared by every message: `Msg::fields(msg, f)` passes the

@@ -13,7 +13,6 @@
 
 namespace evm::scenario {
 
-using TB = testbed::TestbedIds;
 using util::Json;
 using util::Rng;
 
@@ -131,12 +130,15 @@ ScenarioSpec generate_spec(std::uint64_t run_seed, const GeneratorConfig& config
     spec.testbed.promotion_timeout = util::Duration::from_seconds(
         std::max(2.0, 4.0 * period_ms / 1e3));
   } else {
-    spec.testbed.third_controller = rng.bernoulli(0.4);
-    spec.testbed.link_loss =
+    // Named locals fix the draw order (third, then loss): C++ leaves the
+    // evaluation order of function arguments unspecified.
+    const bool third = rng.bernoulli(0.4);
+    const double loss =
         rng.bernoulli(0.5) ? q6(rng.uniform(0.0, config.max_testbed_loss)) : 0.0;
+    spec.testbed.topology = testbed::default_fig5_topology(third, loss);
   }
 
-  const testbed::TopologySpec topo = spec.topology();
+  const testbed::TopologySpec& topo = spec.topology();
   // Event targets: every VC member (relays included — crashing the relay
   // between sensor and controllers is exactly the stress multi-hop worlds
   // add); controllers in replica-priority order.
@@ -385,9 +387,11 @@ ScenarioSpec shrink_spec(const ScenarioSpec& spec, std::uint64_t seed,
       candidate.churn = ChurnSpec{};
       try_candidate(std::move(candidate));
     }
-    if (best.testbed.link_loss > 0.0) {
+    const auto& links = best.testbed.topology.links;
+    if (std::any_of(links.begin(), links.end(),
+                    [](const testbed::TopologyLink& l) { return l.loss > 0.0; })) {
       ScenarioSpec candidate = best;
-      candidate.testbed.link_loss = 0.0;
+      for (auto& link : candidate.testbed.topology.links) link.loss = 0.0;
       try_candidate(std::move(candidate));
     }
     if (best.testbed.dissemination == testbed::DisseminationMode::kTree) {

@@ -66,8 +66,10 @@ void InvariantMonitor::add(const std::string& invariant, double at_s,
 }
 
 bool InvariantMonitor::fault_free() const {
+  const auto& links = spec_.topology().links;
   return spec_.events.empty() && !spec_.churn.enabled &&
-         spec_.testbed.link_loss == 0.0;
+         std::all_of(links.begin(), links.end(),
+                     [](const testbed::TopologyLink& l) { return l.loss == 0.0; });
 }
 
 void InvariantMonitor::on_probe(double t_s, const ProbeSample& sample) {

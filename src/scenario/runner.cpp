@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
+#include <utility>
 
 #include "core/modes.hpp"
 #include "scenario/invariants.hpp"
@@ -65,7 +66,7 @@ Json RunMetrics::to_json() const {
 }
 
 ScenarioRunner::ScenarioRunner(const ScenarioSpec& spec, std::uint64_t seed)
-    : spec_(spec), seed_(seed), topo_(spec.topology()) {}
+    : spec_(spec), seed_(seed) {}
 
 ScenarioRunner::~ScenarioRunner() = default;
 
@@ -88,7 +89,7 @@ RunMetrics ScenarioRunner::run() {
     }
     testbed::GasPlantTestbedConfig config = spec_.testbed;
     config.seed = seed_;
-    testbed_ = std::make_unique<testbed::GasPlantTestbed>(config);
+    testbed_ = std::make_unique<testbed::TestbedBuilder>(std::move(config));
     script_ = std::make_unique<net::TopologyScript>(testbed_->sim(),
                                                     testbed_->topology());
 
@@ -214,7 +215,7 @@ void ScenarioRunner::schedule_churn() {
   // Outages strike pairs of VC members (relays included in multi-hop worlds
   // through their membership); the draw order makes churn a pure function
   // of (seed, salt, membership).
-  const std::vector<net::NodeId> nodes = topo_.members();
+  const std::vector<net::NodeId> nodes = testbed_->topology_spec().members();
   if (nodes.size() < 2) return;
 
   const double window_end = spec_.horizon_s - churn.end_margin_s;
@@ -237,13 +238,14 @@ void ScenarioRunner::schedule_churn() {
 
 void ScenarioRunner::probe_once() {
   auto& tb = *testbed_;
+  const testbed::TopologySpec& topo = tb.topology_spec();
   InvariantMonitor::ProbeSample sample;
   // Per-replica states over the VC membership; the monitor derives the
   // liveness verdict from them. A replica counts toward liveness only when
   // its node is up: a crashed controller whose service state still reads
   // Active cannot drive the valve, which is exactly the gap the liveness
   // invariant is after.
-  for (net::NodeId id : topo_.replica_order()) {
+  for (net::NodeId id : topo.replica_order()) {
     InvariantMonitor::ReplicaProbe replica;
     replica.node = id;
     replica.alive = !tb.node(id).failed();
@@ -253,7 +255,7 @@ void ScenarioRunner::probe_once() {
     }
     sample.replicas.push_back(replica);
   }
-  for (net::NodeId id : topo_.node_ids()) {
+  for (net::NodeId id : topo.node_ids()) {
     sample.failover_count += tb.service(id).failovers().size();
     auto& scheduler = tb.node(id).kernel().scheduler();
     for (rtos::TaskId task : scheduler.task_ids()) {
@@ -274,6 +276,7 @@ void ScenarioRunner::probe_once() {
 
 RunMetrics ScenarioRunner::collect() {
   auto& tb = *testbed_;
+  const testbed::TopologySpec& topo = tb.topology_spec();
   RunMetrics m;
   m.seed = seed_;
   m.ok = true;
@@ -282,7 +285,7 @@ RunMetrics ScenarioRunner::collect() {
   // Failover actions may be logged by the original head or, after a head
   // crash, by its successor — merge every node's log in time order.
   std::vector<core::FailoverEvent> failovers;
-  for (net::NodeId id : topo_.node_ids()) {
+  for (net::NodeId id : topo.node_ids()) {
     const auto& events = tb.service(id).failovers();
     failovers.insert(failovers.end(), events.begin(), events.end());
     m.head_successions += tb.service(id).head_successions();
@@ -297,7 +300,7 @@ RunMetrics ScenarioRunner::collect() {
     }
   }
 
-  for (net::NodeId id : topo_.node_ids()) {
+  for (net::NodeId id : topo.node_ids()) {
     auto& scheduler = tb.node(id).kernel().scheduler();
     for (rtos::TaskId task : scheduler.task_ids()) {
       const rtos::Tcb* tcb = scheduler.task(task);
@@ -310,7 +313,7 @@ RunMetrics ScenarioRunner::collect() {
   m.dissemination = tb.multi_hop()
                         ? testbed::to_string(tb.dissemination_mode())
                         : "single_hop";
-  for (net::NodeId id : topo_.node_ids()) {
+  for (net::NodeId id : topo.node_ids()) {
     const net::Router& router = tb.node(id).router();
     m.bcast_datagrams += router.broadcasts_originated();
     m.bcast_transmissions +=
@@ -351,7 +354,7 @@ RunMetrics ScenarioRunner::collect() {
 
   // Replica modes in priority order: "ctrl_a" = the initial primary,
   // "ctrl_b" = the first backup (the historical Fig. 5 report keys).
-  const std::vector<net::NodeId> replicas = topo_.replica_order();
+  const std::vector<net::NodeId> replicas = topo.replica_order();
   m.ctrl_a_mode = core::to_string(
       replicas.empty() ? core::ControllerMode::kDormant
                        : tb.service(replicas[0]).mode(testbed::kLtsLevelLoop));

@@ -1,8 +1,8 @@
-// Instantiates one scenario deterministically from (spec, seed): builds a
-// GasPlantTestbed, compiles the fault schedule onto the simulator and a
-// TopologyScript, runs to the horizon and collects metrics — failover
-// latency, missed deadlines, packet loss, plant regulation error — plus the
-// full plant time-series in a sim::Trace for CSV/JSON export.
+// Instantiates one scenario deterministically from (spec, seed): builds the
+// spec's world with TestbedBuilder, compiles the fault schedule onto the
+// simulator and a TopologyScript, runs to the horizon and collects metrics —
+// failover latency, missed deadlines, packet loss, plant regulation error —
+// plus the full plant time-series in a sim::Trace for CSV/JSON export.
 #pragma once
 
 #include <memory>
@@ -124,10 +124,7 @@ class ScenarioRunner {
 
   const ScenarioSpec& spec_;
   std::uint64_t seed_;
-  /// Resolved world (spec topology or the default Fig. 5 testbed); the
-  /// source of every node set the runner iterates.
-  testbed::TopologySpec topo_;
-  std::unique_ptr<testbed::GasPlantTestbed> testbed_;
+  std::unique_ptr<testbed::TestbedBuilder> testbed_;
   std::unique_ptr<net::TopologyScript> script_;
   InvariantMonitor* monitor_ = nullptr;
   obs::TraceRecorder* recorder_ = nullptr;

@@ -9,6 +9,7 @@
 
 namespace evm::scenario {
 
+using util::check_keys;
 using util::Json;
 using util::Result;
 using util::Status;
@@ -37,23 +38,6 @@ constexpr KindName kKindNames[] = {
     {EventKind::kClockDrift, "clock_drift", "node ppm"},
     {EventKind::kTrafficBurst, "traffic_burst", "node count interval_ms"},
 };
-
-/// Reject any key of `obj` outside the space-separated `known` list. A
-/// misspelled key would otherwise leave its field at the default and run a
-/// different experiment than the file describes, without a word.
-Status check_keys(const Json& obj, std::string_view known,
-                  const std::string& section) {
-  std::string padded = " ";
-  padded += known;
-  padded += ' ';
-  for (const auto& [key, value] : obj.members()) {
-    (void)value;
-    if (padded.find(' ' + key + ' ') == std::string::npos) {
-      return Status::invalid_argument("unknown key '" + key + "' in " + section);
-    }
-  }
-  return Status::ok();
-}
 
 std::string known_kinds() {
   std::string out;
@@ -150,14 +134,8 @@ Result<net::NodeId> parse_node(const Json& json, const testbed::TopologySpec& to
   return topo.parse_node(json);
 }
 
-testbed::TopologySpec ScenarioSpec::topology() const {
-  if (!testbed.topology.empty()) return testbed.topology;
-  return testbed::default_fig5_topology(testbed.third_controller,
-                                        testbed.link_loss);
-}
-
 util::Status ScenarioSpec::validate() const {
-  const testbed::TopologySpec topo = topology();
+  const testbed::TopologySpec& topo = topology();
   if (util::Status s = topo.validate(); !s) {
     return Status::invalid_argument("topology: " + s.message());
   }
@@ -224,9 +202,8 @@ Result<ScenarioSpec> ScenarioSpec::from_json(const Json& json) {
     }
     if (Status s = check_keys(*tb,
                               "control_period_ms evidence_threshold "
-                              "dormant_delay_s level_setpoint third_controller "
-                              "link_loss promotion_timeout_s head_beacon_s "
-                              "dissemination",
+                              "dormant_delay_s level_setpoint "
+                              "promotion_timeout_s head_beacon_s dissemination",
                               "'testbed'");
         !s) {
       return s;
@@ -252,16 +229,6 @@ Result<ScenarioSpec> ScenarioSpec::from_json(const Json& json) {
       return Status::invalid_argument("'dormant_delay_s' must be >= 0");
     }
     if (Status s = read_number(*tb, "level_setpoint", cfg.level_setpoint); !s) return s;
-    if (const Json* v = tb->find("third_controller")) {
-      if (!v->is_bool()) {
-        return Status::invalid_argument("'third_controller' must be a boolean");
-      }
-      cfg.third_controller = v->as_bool();
-    }
-    if (Status s = read_number(*tb, "link_loss", cfg.link_loss); !s) return s;
-    if (cfg.link_loss < 0.0 || cfg.link_loss >= 1.0) {
-      return Status::invalid_argument("'link_loss' must be in [0, 1)");
-    }
     double promotion_timeout_s = cfg.promotion_timeout.to_seconds();
     if (Status s = read_number(*tb, "promotion_timeout_s", promotion_timeout_s); !s) return s;
     cfg.promotion_timeout = util::Duration::from_seconds(promotion_timeout_s);
@@ -287,26 +254,13 @@ Result<ScenarioSpec> ScenarioSpec::from_json(const Json& json) {
   }
 
   if (const Json* topology = json.find("topology")) {
-    // The Fig. 5-only knobs and an explicit world are mutually exclusive:
-    // silently combining them would build a different experiment than either
-    // section describes.
-    if (spec.testbed.third_controller) {
-      return Status::invalid_argument(
-          "'testbed.third_controller' only applies to the default Fig. 5 "
-          "topology; use a controller node in the 'topology' section instead");
-    }
-    if (spec.testbed.link_loss != 0.0) {
-      return Status::invalid_argument(
-          "'testbed.link_loss' only applies to the default Fig. 5 topology; "
-          "use per-link 'loss' or the generator's 'link_loss' instead");
-    }
     auto parsed = testbed::TopologySpec::from_json(*topology);
     if (!parsed) {
       return Status::invalid_argument("topology: " + parsed.status().message());
     }
     spec.testbed.topology = std::move(*parsed);
   }
-  const testbed::TopologySpec topo = spec.topology();
+  const testbed::TopologySpec& topo = spec.topology();
 
   if (const Json* record = json.find("record")) {
     if (!record->is_array()) {
@@ -508,8 +462,8 @@ Result<ScenarioSpec> ScenarioSpec::from_json(const Json& json) {
   }
 
   // Events referencing a non-member controller target a replica that was
-  // never instantiated in the VC (on the default world: ctrl_c without
-  // testbed.third_controller).
+  // never instantiated in the VC (on the Fig. 5 world: ctrl_c without the
+  // generator's third_controller).
   for (const auto& e : spec.events) {
     for (net::NodeId id : {e.node, e.a, e.b}) {
       const testbed::TopologyNode* node = topo.find(id);
@@ -517,10 +471,7 @@ Result<ScenarioSpec> ScenarioSpec::from_json(const Json& json) {
           !node->vc_member) {
         return Status::invalid_argument(
             "event references controller '" + node->name +
-            "' which is not a VC member" +
-            (spec.testbed.topology.empty()
-                 ? std::string(" (testbed.third_controller is false)")
-                 : std::string()));
+            "' which is not a VC member");
       }
     }
   }
@@ -539,7 +490,7 @@ Result<ScenarioSpec> ScenarioSpec::load_file(const std::string& path) {
 }
 
 Json ScenarioSpec::to_json() const {
-  const testbed::TopologySpec topo = topology();
+  const testbed::TopologySpec& topo = topology();
   Json root = Json::object();
   root.set("name", name);
   if (!description.empty()) root.set("description", description);
@@ -552,15 +503,13 @@ Json ScenarioSpec::to_json() const {
   tb.set("promotion_timeout_s", testbed.promotion_timeout.to_seconds());
   tb.set("head_beacon_s", testbed.head_beacon_period.to_seconds());
   tb.set("level_setpoint", testbed.level_setpoint);
-  tb.set("third_controller", testbed.third_controller);
-  tb.set("link_loss", testbed.link_loss);
   tb.set("dissemination", testbed::to_string(testbed.dissemination));
   root.set("testbed", std::move(tb));
 
   // Campaign provenance: the explicit node/link list round-trips, so a
   // report's spec echo rebuilds the exact world (generator shorthands are
   // expanded at parse time).
-  if (!testbed.topology.empty()) root.set("topology", testbed.topology.to_json());
+  root.set("topology", topo.to_json());
 
   if (!record.empty()) {
     Json rec = Json::array();

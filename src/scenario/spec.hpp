@@ -13,7 +13,7 @@
 
 #include "net/link_dynamics.hpp"
 #include "net/packet.hpp"
-#include "testbed/gas_plant_testbed.hpp"
+#include "testbed/testbed_builder.hpp"
 #include "util/json.hpp"
 #include "util/status.hpp"
 
@@ -68,8 +68,8 @@ struct ScenarioSpec {
   std::string description;
   double horizon_s = 120.0;
   /// Testbed knobs; the per-run seed overrides `testbed.seed`. The optional
-  /// "topology" section of the JSON document lands in `testbed.topology`;
-  /// when absent the world is the default Fig. 5 six-node testbed.
+  /// "topology" section of the JSON document lands in `testbed.topology`,
+  /// which otherwise keeps the default Fig. 5 six-node testbed.
   testbed::GasPlantTestbedConfig testbed;
   /// Plant variables traced once per record period (series named after the
   /// variable). The LTS level is always traced for the plant-error metrics.
@@ -82,11 +82,10 @@ struct ScenarioSpec {
   /// scenario injects none. Failover latency is measured from here.
   double first_fault_s() const;
 
-  /// The world this scenario runs in: `testbed.topology` when set, else the
-  /// default Fig. 5 testbed derived from the third_controller / link_loss
-  /// knobs. Everything that needs the role table (event parsing, the
-  /// runner's node sets, the invariant monitor's VC membership) reads this.
-  testbed::TopologySpec topology() const;
+  /// The world this scenario runs in (`testbed.topology`). Everything that
+  /// needs the role table (event parsing, the invariant monitor's VC
+  /// membership) reads this.
+  const testbed::TopologySpec& topology() const { return testbed.topology; }
 
   /// Cross-field checks that must hold for the spec to be runnable; today
   /// that is "every fault event fires within the horizon". from_json calls

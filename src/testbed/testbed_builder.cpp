@@ -7,20 +7,9 @@
 
 namespace evm::testbed {
 
-TestbedBuilder::TestbedBuilder(TopologySpec topology, GasPlantTestbedConfig config)
-    : TestbedBuilder([&] {
-        config.topology = std::move(topology);
-        return std::move(config);
-      }()) {}
-
 TestbedBuilder::TestbedBuilder(GasPlantTestbedConfig config)
-    : config_(std::move(config)),
-      topo_(config_.topology.empty()
-                ? default_fig5_topology(config_.third_controller,
-                                        config_.link_loss)
-                : std::move(config_.topology)),
+    : config_(std::move(config)), topo_(std::move(config_.topology)),
       sim_(config_.seed), plant_(config_.plant) {
-  config_.topology = TopologySpec{};  // resolved world lives in topo_ only
   if (util::Status valid = topo_.validate(); !valid) {
     throw std::runtime_error("invalid topology: " + valid.to_string());
   }

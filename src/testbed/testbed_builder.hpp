@@ -3,9 +3,11 @@
 // schedule, time sync), the gas plant in hardware-in-loop, one node + EVM
 // service per spec entry, and a Virtual Component descriptor derived from
 // the spec's roles and membership (sensor publishes to every replica, the
-// primary actuates, backups hold health-assessment transfers). The six-node
-// Fig. 5 testbed is just TestbedBuilder(default_fig5_topology()); a 20-node
-// multi-hop grid is the same code fed different data.
+// primary actuates, backups hold health-assessment transfers). The paper's
+// evaluation testbed (Fig. 5: a Honeywell-Unisim-style natural gas plant in
+// hardware-in-loop with six FireFly-class nodes) is the default world, so
+// TestbedBuilder{} builds it; a 20-node multi-hop grid is the same code fed
+// a different `topology`.
 #pragma once
 
 #include <map>
@@ -22,9 +24,8 @@ namespace evm::testbed {
 
 struct GasPlantTestbedConfig {
   std::uint64_t seed = 7;
-  /// World to build; empty means the default Fig. 5 six-node testbed
-  /// (parameterized by `third_controller` / `link_loss` below).
-  TopologySpec topology;
+  /// World to build.
+  TopologySpec topology = default_fig5_topology();
   /// Control cycle (paper objective 5: 1/4 second or less).
   util::Duration control_period = util::Duration::millis(250);
   /// Consecutive deviating cycles before the backup reports. The paper's
@@ -44,10 +45,6 @@ struct GasPlantTestbedConfig {
   double level_setpoint = 50.0;
   /// Broadcast dissemination scheme (see DisseminationMode).
   DisseminationMode dissemination = DisseminationMode::kAuto;
-  /// Fig. 5 only: include the third controller replica (Ctrl-C) in the VC.
-  bool third_controller = false;
-  /// Fig. 5 only: per-link packet loss probability.
-  double link_loss = 0.0;
   plant::GasPlantConfig plant = [] {
     plant::GasPlantConfig c;
     // Small holdup so a mis-set valve drains the separator on the few-
@@ -65,16 +62,10 @@ inline constexpr std::uint8_t kValveChannel = 0;
 
 class TestbedBuilder {
  public:
-  /// Compile `config` (whose `topology`, empty = Fig. 5, names the world)
-  /// into the sim. Throws std::runtime_error on an invalid topology
-  /// (ScenarioRunner turns that into a run error). After construction the
-  /// resolved world lives in topology_spec() only — config().topology is
-  /// moved out, so there is exactly one source of truth.
-  explicit TestbedBuilder(GasPlantTestbedConfig config);
-  /// Convenience: override the config's world with an explicit spec
-  /// (e.g. TestbedBuilder(line_topology(8))).
-  explicit TestbedBuilder(TopologySpec topology,
-                          GasPlantTestbedConfig config = {});
+  /// Compile `config` (whose `topology` names the world) into the sim.
+  /// Throws std::runtime_error on an invalid topology (ScenarioRunner turns
+  /// that into a run error). The world is moved into topology_spec().
+  explicit TestbedBuilder(GasPlantTestbedConfig config = {});
 
   /// Settle the plant at its steady operating point, start every node, the
   /// time sync, the MACs and the HIL harness.

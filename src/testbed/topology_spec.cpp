@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string_view>
 
 #include "net/dissemination.hpp"
 
 namespace evm::testbed {
 
+using util::check_keys;
 using util::Json;
 using util::Result;
 using util::Status;
@@ -23,6 +25,19 @@ constexpr RoleName kRoleNames[] = {
     {NodeRole::kGateway, "gateway"},   {NodeRole::kSensor, "sensor"},
     {NodeRole::kController, "controller"}, {NodeRole::kActuator, "actuator"},
     {NodeRole::kRelay, "relay"},
+};
+
+struct GeneratorKeys {
+  const char* kind;
+  /// Every key the generator takes, space-separated.
+  std::string_view keys;
+};
+
+constexpr GeneratorKeys kGenerators[] = {
+    {"fig5", "generator third_controller link_loss"},
+    {"line", "generator link_loss nodes controllers"},
+    {"grid", "generator link_loss width height controllers"},
+    {"star", "generator link_loss nodes controllers"},
 };
 
 /// Controller names follow the Fig. 5 labels: ctrl_a, ctrl_b, ctrl_c, ...
@@ -471,20 +486,21 @@ SchedulePlan plan_schedule(const TopologySpec& topo, DisseminationMode mode) {
 }
 
 TopologySpec default_fig5_topology(bool third_controller, double link_loss) {
+  using Ids = TestbedIds;
   TopologySpec spec;
   spec.nodes = {
-      {1, "gateway", NodeRole::kGateway, true},
-      {2, "sensor", NodeRole::kSensor, true},
-      {3, "ctrl_a", NodeRole::kController, true},
-      {4, "ctrl_b", NodeRole::kController, true},
+      {Ids::kGateway, "gateway", NodeRole::kGateway, true},
+      {Ids::kSensor, "sensor", NodeRole::kSensor, true},
+      {Ids::kCtrlA, "ctrl_a", NodeRole::kController, true},
+      {Ids::kCtrlB, "ctrl_b", NodeRole::kController, true},
       // Ctrl-C is always built (degradation studies flip it on at runtime)
       // but joins the VC only when the third controller is enabled.
-      {5, "ctrl_c", NodeRole::kController, third_controller},
-      {6, "actuator", NodeRole::kActuator, true},
+      {Ids::kCtrlC, "ctrl_c", NodeRole::kController, third_controller},
+      {Ids::kActuator, "actuator", NodeRole::kActuator, true},
   };
-  for (net::NodeId a = 1; a <= 6; ++a) {
-    for (net::NodeId b = static_cast<net::NodeId>(a + 1); b <= 6; ++b) {
-      spec.links.push_back({a, b, link_loss});
+  for (std::size_t i = 0; i < spec.nodes.size(); ++i) {
+    for (std::size_t j = i + 1; j < spec.nodes.size(); ++j) {
+      spec.links.push_back({spec.nodes[i].id, spec.nodes[j].id, link_loss});
     }
   }
   return spec;
@@ -588,6 +604,17 @@ Result<TopologySpec> TopologySpec::from_json(const Json& json) {
       return Status::invalid_argument("topology 'generator' must be a string");
     }
     const std::string& kind = generator->as_string();
+    const GeneratorKeys* known = nullptr;
+    for (const GeneratorKeys& entry : kGenerators) {
+      if (kind == entry.kind) known = &entry;
+    }
+    if (known == nullptr) {
+      return Status::invalid_argument("unknown topology generator '" + kind +
+                                      "' (known: fig5, line, grid, star)");
+    }
+    if (Status s = check_keys(json, known->keys, "the " + kind + " generator"); !s) {
+      return s;
+    }
     auto loss = read_loss();
     if (!loss) return loss.status();
     auto controllers = read_count("controllers", 2, 1);
@@ -619,16 +646,13 @@ Result<TopologySpec> TopologySpec::from_json(const Json& json) {
         return Status::invalid_argument("grid too small for its roles");
       }
       spec = grid_topology(*width, *height, *controllers, *loss);
-    } else if (kind == "star") {
+    } else {  // star
       auto count = read_count("nodes", 0, *controllers + 3);
       if (!count) return count.status();
       if (*count == 0) {
         return Status::invalid_argument("star topology requires 'nodes'");
       }
       spec = star_topology(*count, *controllers, *loss);
-    } else {
-      return Status::invalid_argument("unknown topology generator '" + kind +
-                                      "' (known: fig5, line, grid, star)");
     }
     if (Status s = spec.validate(); !s) return s;
     return spec;
@@ -639,12 +663,20 @@ Result<TopologySpec> TopologySpec::from_json(const Json& json) {
     return Status::invalid_argument(
         "topology requires a 'generator' or a non-empty 'nodes' array");
   }
+  if (Status s = check_keys(json, "nodes links", "the explicit topology"); !s) {
+    return s;
+  }
   TopologySpec spec;
   for (std::size_t i = 0; i < nodes->size(); ++i) {
     const Json& entry = nodes->at(i);
     if (!entry.is_object()) {
       return Status::invalid_argument("topology nodes[" + std::to_string(i) +
                                       "] must be an object");
+    }
+    if (Status s = check_keys(entry, "id name role vc_member",
+                              "nodes[" + std::to_string(i) + "]");
+        !s) {
+      return s;
     }
     TopologyNode node;
     const Json* id = entry.find("id");
@@ -702,6 +734,10 @@ Result<TopologySpec> TopologySpec::from_json(const Json& json) {
       if (!entry.is_object()) {
         return Status::invalid_argument("topology links[" + std::to_string(i) +
                                         "] must be an object");
+      }
+      if (Status s = check_keys(entry, "a b loss", "links[" + std::to_string(i) + "]");
+          !s) {
+        return s;
       }
       TopologyLink link;
       for (auto [key, out] : {std::pair{"a", &link.a}, std::pair{"b", &link.b}}) {

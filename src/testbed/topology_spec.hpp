@@ -81,8 +81,6 @@ struct TopologySpec {
   std::vector<TopologyNode> nodes;
   std::vector<TopologyLink> links;
 
-  bool empty() const { return nodes.empty(); }
-
   const TopologyNode* find(net::NodeId id) const;
   const TopologyNode* find_name(const std::string& name) const;
   bool has_link(net::NodeId a, net::NodeId b) const;
@@ -130,8 +128,9 @@ struct TopologySpec {
 
   /// Parse either an explicit {"nodes": [...], "links": [...]} document or
   /// a generator shorthand {"generator": "line" | "grid" | "star" | "fig5",
-  /// ...params}. to_json always emits the explicit form (full provenance in
-  /// campaign reports; re-parses to an identical spec).
+  /// ...params}. A key the generator (or the node / link entry) does not
+  /// take is an error. to_json always emits the explicit form (full
+  /// provenance in campaign reports; re-parses to an identical spec).
   static util::Result<TopologySpec> from_json(const util::Json& json);
   util::Json to_json() const;
 };
@@ -144,9 +143,21 @@ struct TopologySpec {
 SchedulePlan plan_schedule(const TopologySpec& topo,
                            DisseminationMode mode = DisseminationMode::kAuto);
 
+/// Node ids of the Fig. 5 world (mirroring the paper's labels).
+struct TestbedIds {
+  static constexpr net::NodeId kGateway = 1;  // ModBus bridge + VC head
+  static constexpr net::NodeId kSensor = 2;   // S1: LTS liquid level
+  static constexpr net::NodeId kCtrlA = 3;    // primary controller
+  static constexpr net::NodeId kCtrlB = 4;    // backup controller
+  static constexpr net::NodeId kCtrlC = 5;    // optional second backup
+  static constexpr net::NodeId kActuator = 6; // A1: LTS drain valve
+};
+
 /// The paper's Fig. 5 six-node testbed: gateway, sensor, three controllers
 /// (Ctrl-C built but outside the VC unless `third_controller`), actuator,
-/// full wireless mesh. This is what worlds without a "topology" section get.
+/// full wireless mesh with `link_loss` on every link. This is the world of
+/// a default GasPlantTestbedConfig and of scenarios without a "topology"
+/// section.
 TopologySpec default_fig5_topology(bool third_controller = false,
                                    double link_loss = 0.0);
 /// Chain: gateway - sensor - relays... - controllers - actuator. Requires

@@ -474,4 +474,18 @@ Result<Json> load_json_file(const std::string& path) {
   return parsed;
 }
 
+Status check_keys(const Json& obj, std::string_view known,
+                  const std::string& section) {
+  std::string padded = " ";
+  padded += known;
+  padded += ' ';
+  for (const auto& [key, value] : obj.members()) {
+    (void)value;
+    if (padded.find(' ' + key + ' ') == std::string::npos) {
+      return Status::invalid_argument("unknown key '" + key + "' in " + section);
+    }
+  }
+  return Status::ok();
+}
+
 }  // namespace evm::util

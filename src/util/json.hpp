@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -93,5 +94,11 @@ class Json {
 
 /// Read a whole file and parse it. Missing/unreadable files report kNotFound.
 Result<Json> load_json_file(const std::string& path);
+
+/// Reject any key of `obj` outside the space-separated `known` list. A
+/// misspelled key would otherwise leave its field at the default and run a
+/// different experiment than the file describes, without a word.
+Status check_keys(const Json& obj, std::string_view known,
+                  const std::string& section);
 
 }  // namespace evm::util

@@ -125,7 +125,7 @@ TEST(FuzzGenerator, GeneratesRandomizedMultiHopTopologies) {
   std::size_t multi_hop = 0, with_relays = 0;
   for (std::uint64_t seed = 0; seed < 100; ++seed) {
     const ScenarioSpec spec = generate_spec(seed, config);
-    const testbed::TopologySpec topo = spec.topology();
+    const testbed::TopologySpec& topo = spec.topology();
     ASSERT_TRUE(topo.validate()) << "seed " << seed;
     if (topo.multi_hop()) {
       ++multi_hop;
@@ -180,7 +180,8 @@ TEST(FuzzShrink, HandSeededViolationShrinksToMinimalRepro) {
   const ScenarioSpec spec = parse_spec(R"({
     "name": "shrink-me",
     "horizon_s": 60,
-    "testbed": {"evidence_threshold": 8, "dormant_delay_s": 5, "link_loss": 0.02},
+    "testbed": {"evidence_threshold": 8, "dormant_delay_s": 5},
+    "topology": {"generator": "fig5", "link_loss": 0.02},
     "events": [
       {"at_s": 8, "do": "clock_drift", "node": "actuator", "ppm": 40},
       {"at_s": 10, "do": "node_crash", "node": "sensor"},
@@ -210,7 +211,7 @@ TEST(FuzzShrink, HandSeededViolationShrinksToMinimalRepro) {
   for (const auto& e : shrunk.events) {
     EXPECT_EQ(e.kind, EventKind::kNodeCrash);
   }
-  EXPECT_DOUBLE_EQ(shrunk.testbed.link_loss, 0.0);
+  for (const auto& link : shrunk.topology().links) EXPECT_DOUBLE_EQ(link.loss, 0.0);
   EXPECT_LE(shrunk.horizon_s, spec.horizon_s);
 
   // And it still fails the same way.

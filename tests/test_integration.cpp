@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "scenario/campaign.hpp"
-#include "testbed/gas_plant_testbed.hpp"
+#include "testbed/testbed_builder.hpp"
 
 namespace evm::testbed {
 namespace {
@@ -25,7 +25,7 @@ GasPlantTestbedConfig fast_config() {
 }
 
 TEST(Testbed, SteadyStateRegulation) {
-  GasPlantTestbed tb(fast_config());
+  TestbedBuilder tb(fast_config());
   tb.start();
   tb.run_until(util::Duration::seconds(120));
   // The wireless PID loop holds the level at the setpoint.
@@ -40,7 +40,7 @@ TEST(Testbed, SteadyStateRegulation) {
 TEST(Testbed, ControlCycleMeetsLatencyObjective) {
   // Paper objective 5: control cycle <= 250 ms, end-to-end latency <= 1/3
   // of the cycle. Measure sensor-publish -> gateway-actuation latency.
-  GasPlantTestbed tb(fast_config());
+  TestbedBuilder tb(fast_config());
   util::Duration worst = util::Duration::zero();
   std::size_t actuations = 0;
   util::TimePoint last_publish;
@@ -62,7 +62,7 @@ TEST(Testbed, ControlCycleMeetsLatencyObjective) {
 
 TEST(Testbed, Fig6FailoverSequence) {
   auto config = fast_config();
-  GasPlantTestbed tb(config);
+  TestbedBuilder tb(config);
   tb.start();
   tb.run_until(util::Duration::seconds(30));
   const double level_before = tb.plant().lts_level_percent();
@@ -90,7 +90,7 @@ TEST(Testbed, Fig6FailoverSequence) {
 }
 
 TEST(Testbed, CrashFailoverViaSilence) {
-  GasPlantTestbed tb(fast_config());
+  TestbedBuilder tb(fast_config());
   tb.start();
   tb.run_until(util::Duration::seconds(20));
   tb.node(TB::kCtrlA).fail();
@@ -106,9 +106,9 @@ TEST(Testbed, CrashFailoverViaSilence) {
 
 TEST(Testbed, ThirdControllerSurvivesDoubleFault) {
   auto config = fast_config();
-  config.third_controller = true;
+  config.topology = default_fig5_topology(/*third_controller=*/true);
   config.dormant_delay = util::Duration::seconds(3);
-  GasPlantTestbed tb(config);
+  TestbedBuilder tb(config);
   tb.start();
   tb.run_until(util::Duration::seconds(20));
 
@@ -126,9 +126,9 @@ TEST(Testbed, ThirdControllerSurvivesDoubleFault) {
 
 TEST(Testbed, LossyLinksStillConverge) {
   auto config = fast_config();
-  config.link_loss = 0.1;
+  config.topology = default_fig5_topology(false, /*link_loss=*/0.1);
   config.evidence_threshold = 8;
-  GasPlantTestbed tb(config);
+  TestbedBuilder tb(config);
   tb.start();
   tb.run_until(util::Duration::seconds(60));
   // 10 % loss on every link: regulation persists (TDMA has retry-free
@@ -144,7 +144,7 @@ TEST(Testbed, PaperTimelineReproduction) {
   // The real Fig. 6(b) schedule: fault at 300 s, detection threshold 1200
   // cycles (300 s at 4 Hz) -> switch at ~600 s, dormant at ~800 s.
   GasPlantTestbedConfig config;  // paper-default thresholds
-  GasPlantTestbed tb(config);
+  TestbedBuilder tb(config);
   tb.start();
   tb.sim().schedule_at(util::TimePoint::zero() + util::Duration::seconds(300),
                        [&tb] { tb.inject_primary_fault(75.0); });
@@ -163,7 +163,7 @@ TEST(Testbed, FailoverSurvivesReporterLinkOutage) {
   // Break the direct Ctrl-B <-> gateway link before the fault: the backup's
   // fault report must route around the outage (multi-hop) and the head's
   // mode commands must come back the same way.
-  GasPlantTestbed tb(fast_config());
+  TestbedBuilder tb(fast_config());
   tb.start();
   tb.run_until(util::Duration::seconds(20));
   tb.topology().set_link_up(TB::kCtrlB, TB::kGateway, false);
@@ -178,7 +178,7 @@ TEST(Testbed, FailoverSurvivesReporterLinkOutage) {
 TEST(Testbed, RegulationSurvivesBurstLoss) {
   // Gilbert-Elliott burst loss (~17 % average, bursty) on every link of the
   // sensor node: periodic refresh rides through the bursts.
-  GasPlantTestbed tb(fast_config());
+  TestbedBuilder tb(fast_config());
   net::GilbertElliottParams bursty;  // defaults: ~17 % steady-state loss
   for (net::NodeId peer : {TB::kGateway, TB::kCtrlA, TB::kCtrlB, TB::kActuator}) {
     tb.medium().set_burst_loss(TB::kSensor, peer, bursty, 1000 + peer);
@@ -192,7 +192,7 @@ TEST(Testbed, RegulationSurvivesBurstLoss) {
 TEST(Testbed, ScriptedChurnDuringFailover) {
   // "Dramatic topology changes" (§4): scripted outages hit while the fault
   // is being detected; the VC still converges to the backup.
-  GasPlantTestbed tb(fast_config());
+  TestbedBuilder tb(fast_config());
   net::TopologyScript script(tb.sim(), tb.topology());
   const auto t0 = util::TimePoint::zero();
   script.outage(t0 + util::Duration::seconds(22), TB::kCtrlA, TB::kCtrlB,
@@ -214,7 +214,7 @@ TEST(Testbed, ScriptedChurnDuringFailover) {
 TEST(Testbed, HeadFailureSuccessionKeepsControlAlive) {
   // Kill the gateway/head mid-run: the lowest-id survivor (the sensor node)
   // assumes headship and a later controller fault is still arbitrated.
-  GasPlantTestbed tb(fast_config());
+  TestbedBuilder tb(fast_config());
   tb.start();
   tb.run_until(util::Duration::seconds(20));
 
@@ -230,7 +230,7 @@ TEST(Testbed, HeadFailureSuccessionKeepsControlAlive) {
 }
 
 TEST(Testbed, EnergyAccountingPlausible) {
-  GasPlantTestbed tb(fast_config());
+  TestbedBuilder tb(fast_config());
   tb.start();
   tb.run_until(util::Duration::seconds(120));
   // Duty-cycled RT-Link: controllers draw far less than always-on RX

@@ -170,6 +170,21 @@ TEST(InvariantMonitor, FailoverWithoutFaultIsViolation) {
   EXPECT_FALSE(has_violation(monitor2, "sanity.failover_without_fault"));
 }
 
+TEST(InvariantMonitor, LossyTopologyIsNotFaultFree) {
+  // Background loss set in the topology section is a disturbance: a lossy
+  // grid may legitimately fail over with no scheduled event.
+  const ScenarioSpec lossy = parse_spec(R"({
+    "name": "inv-lossy-grid", "horizon_s": 40,
+    "topology": {"generator": "grid", "width": 3, "height": 3, "link_loss": 0.2}
+  })");
+  InvariantMonitor monitor(lossy, {});
+  monitor.on_probe(39.5, probe(true));
+  RunMetrics m = ok_metrics();
+  m.failover_count = 1;
+  monitor.on_finish(m);
+  EXPECT_FALSE(has_violation(monitor, "sanity.failover_without_fault"));
+}
+
 TEST(InvariantMonitor, FailedRunShortCircuitsToRunError) {
   const ScenarioSpec spec = spec_with_fault();
   InvariantMonitor monitor(spec, {});

@@ -23,7 +23,8 @@ util::Result<ScenarioSpec> parse(const std::string& text) {
 const char* kFailoverSpec = R"({
   "name": "test-failover",
   "horizon_s": 60,
-  "testbed": {"evidence_threshold": 8, "dormant_delay_s": 5, "link_loss": 0.05},
+  "testbed": {"evidence_threshold": 8, "dormant_delay_s": 5},
+  "topology": {"generator": "fig5", "link_loss": 0.05},
   "events": [{"at_s": 10, "do": "primary_fault", "value": 75.0}]
 })";
 
@@ -41,8 +42,8 @@ TEST(ScenarioSpec, ParsesFullSchedule) {
     "name": "full",
     "horizon_s": 90,
     "testbed": {"control_period_ms": 200, "evidence_threshold": 4,
-                "dormant_delay_s": 7.5, "level_setpoint": 55,
-                "third_controller": true, "link_loss": 0.1},
+                "dormant_delay_s": 7.5, "level_setpoint": 55},
+    "topology": {"generator": "fig5", "third_controller": true, "link_loss": 0.1},
     "record": ["TowerFeed.MolarFlow"],
     "churn": {"outages_per_minute": 10, "outage_s": 2},
     "events": [
@@ -63,7 +64,8 @@ TEST(ScenarioSpec, ParsesFullSchedule) {
   ASSERT_TRUE(spec.ok()) << spec.status().to_string();
   EXPECT_EQ(spec->events.size(), 12u);
   EXPECT_EQ(spec->testbed.control_period.ms(), 200);
-  EXPECT_TRUE(spec->testbed.third_controller);
+  EXPECT_EQ(spec->topology().replica_order().size(), 3u);
+  EXPECT_DOUBLE_EQ(spec->topology().links.front().loss, 0.1);
   EXPECT_TRUE(spec->churn.enabled);
   // node_crash at 11s precedes the primary fault at 15s.
   EXPECT_DOUBLE_EQ(spec->first_fault_s(), 11.0);
@@ -95,8 +97,8 @@ TEST(ScenarioSpec, RejectsMalformedSpecs) {
       R"({"name": "x", "events": [{"at_s": 1, "do": "burst_loss", "a": "sensor", "b": "ctrl_a", "p_bad_to_good": 25}]})",
       R"({"name": "x", "events": [{"at_s": 1, "do": "burst_loss", "a": "sensor", "b": "ctrl_a", "p_bad_loss": "0.8"}]})",
       R"({"name": "x", "horizon_s": "120"})",
-      R"({"name": "x", "testbed": {"link_loss": "0.5"}})",
-      R"({"name": "x", "testbed": {"third_controller": "true"}})",
+      R"({"name": "x", "topology": {"generator": "fig5", "link_loss": "0.5"}})",
+      R"({"name": "x", "topology": {"generator": "fig5", "third_controller": "true"}})",
       R"({"name": "x", "churn": {"outages_per_minute": "15"}})",
       R"({"name": "x", "events": [{"at_s": 1, "do": "link_outage", "a": "sensor", "b": "ctrl_a", "duration_s": "3"}]})",
       R"({"name": "x", "events": [{"at_s": 1, "do": "traffic_burst", "node": "sensor", "count": "5", "interval_ms": 10}]})",
@@ -234,18 +236,6 @@ TEST(ScenarioSpec, TopologySectionParsesResolvesAndRoundTrips) {
 }
 
 TEST(ScenarioSpec, TopologyRejectsConflictsAndMissingLinks) {
-  // Fig. 5-only knobs cannot be combined with an explicit world.
-  auto third = parse(R"({
-    "name": "x", "testbed": {"third_controller": true},
-    "topology": {"generator": "line", "nodes": 8}
-  })");
-  EXPECT_FALSE(third.ok());
-  auto loss = parse(R"({
-    "name": "x", "testbed": {"link_loss": 0.1},
-    "topology": {"generator": "line", "nodes": 8}
-  })");
-  EXPECT_FALSE(loss.ok());
-
   // Link events must reference links that exist (gateway-actuator is 7 hops
   // apart on the chain).
   auto no_link = parse(R"({
@@ -298,9 +288,8 @@ TEST(ScenarioRunner, MultiHopLineFailoverCrossesRelays) {
 }
 
 TEST(ScenarioSpec, ShippedScenariosStillParseAndRoundTrip) {
-  // Backward compatibility: every spec shipped before the topology redesign
-  // (no "topology" key) must parse, resolve to the Fig. 5 world, and
-  // round-trip byte-stably; the new multi-hop specs must parse too.
+  // Every shipped Fig. 5 spec must parse to the six-node mesh and
+  // round-trip byte-stably; the multi-hop specs must parse too.
   const std::string dir = EVM_REPO_SCENARIOS_DIR;
   const struct {
     const char* file;
@@ -313,10 +302,9 @@ TEST(ScenarioSpec, ShippedScenariosStillParseAndRoundTrip) {
   for (const auto& entry : shipped) {
     auto spec = ScenarioSpec::load_file(dir + "/" + entry.file);
     ASSERT_TRUE(spec.ok()) << entry.file << ": " << spec.status().to_string();
-    const testbed::TopologySpec topo = spec->topology();
+    const testbed::TopologySpec& topo = spec->topology();
     EXPECT_TRUE(topo.validate()) << entry.file;
     if (entry.fig5) {
-      EXPECT_TRUE(spec->testbed.topology.empty()) << entry.file;
       EXPECT_EQ(topo.nodes.size(), 6u) << entry.file;
       EXPECT_EQ(topo.diameter(), 1) << entry.file;
     } else {
@@ -346,8 +334,6 @@ void expect_same_experiment(const ScenarioSpec& a, const ScenarioSpec& b,
   EXPECT_EQ(x.head_beacon_period.ns(), y.head_beacon_period.ns());
   EXPECT_EQ(x.level_setpoint, y.level_setpoint);
   EXPECT_EQ(x.dissemination, y.dissemination);
-  EXPECT_EQ(x.third_controller, y.third_controller);
-  EXPECT_EQ(x.link_loss, y.link_loss);
   EXPECT_EQ(x.topology.to_json().dump(), y.topology.to_json().dump());
   EXPECT_EQ(a.record, b.record);
   EXPECT_EQ(a.churn.enabled, b.churn.enabled);
@@ -417,6 +403,33 @@ TEST(ScenarioSpec, RejectsUnknownKeysInEverySection) {
          {"at_s": 5, "do": "primary_fault", "value": 75},
          {"at_s": 6, "do": "clear_primary_fault", "value": 75}]})",
        "value", "events[1]: unknown key 'value' in event 'clear_primary_fault'"},
+      // The Fig. 5 knobs live in the topology section only.
+      {R"({"name": "x", "testbed": {"link_loss": 0.1}})", "link_loss", "'testbed'"},
+      {R"({"name": "x", "testbed": {"third_controller": true}})",
+       "third_controller", "'testbed'"},
+      // Each generator takes its own keys only: fig5 has no 'controllers'.
+      {R"({"name": "x", "topology": {"generator": "fig5", "controllers": 3}})",
+       "controllers", "topology: unknown key 'controllers' in the fig5 generator"},
+      {R"({"name": "x", "topology": {"generator": "fig5", "third_controler": true}})",
+       "third_controler", "the fig5 generator"},
+      {R"({"name": "x", "topology": {"generator": "line", "nodes": 8,
+                                     "third_controller": true}})",
+       "third_controller", "the line generator"},
+      {R"({"name": "x", "topology": {"generator": "star", "nodes": 8, "height": 2}})",
+       "height", "the star generator"},
+      {R"({"name": "x", "topology": {"generator": "grid", "width": 4, "height": 2,
+                                     "nodes": 8}})",
+       "nodes", "the grid generator"},
+      {R"({"name": "x", "topology": {"nodes": [{"id": 1, "role": "gateway"}],
+                                     "links": [], "link_loss": 0.1}})",
+       "link_loss", "the explicit topology"},
+      {R"({"name": "x", "topology": {"nodes": [{"id": 1, "role": "gateway", "vc": true}],
+                                     "links": []}})",
+       "vc", "nodes[0]"},
+      {R"({"name": "x", "topology": {"nodes": [{"id": 1, "role": "gateway"},
+                                               {"id": 2, "role": "sensor"}],
+                                     "links": [{"a": 1, "b": 2, "los": 0.1}]}})",
+       "los", "links[0]"},
   };
   for (const auto& c : cases) {
     auto spec = parse(c.text);
@@ -454,7 +467,8 @@ TEST(ScenarioRunner, BaselineHoldsLevelWithoutFailover) {
   auto spec = parse(R"({
     "name": "test-baseline",
     "horizon_s": 30,
-    "testbed": {"evidence_threshold": 8, "link_loss": 0.01}
+    "testbed": {"evidence_threshold": 8},
+    "topology": {"generator": "fig5", "link_loss": 0.01}
   })");
   ASSERT_TRUE(spec.ok());
   ScenarioRunner runner(*spec, 1);
