@@ -154,10 +154,7 @@ HeadArbiter::Decision HeadArbiter::on_fault_report(const FaultReportMsg& msg,
   out.function = msg.function;
   Record* rec = find(msg.function);
   if (rec == nullptr) return out;
-  ReplicaRecord& suspect = rec->replicas[msg.suspect];
-  if (++suspect.reports < policy_.reports_required) return out;
   if (active_of(*rec) != msg.suspect) return out;  // already handled
-  suspect.reports = 0;
   out.cause = Cause::kFaultReport;
   out.subject = msg.suspect;
   fail_over(*rec, msg.suspect, msg.reason, now, out);

@@ -18,9 +18,11 @@
 
 namespace evm::core {
 
+/// Consecutive head beacons a member may miss before it starts a
+/// succession.
+inline constexpr std::uint32_t kBeaconLossThreshold = 5;
+
 struct FailoverPolicy {
-  /// Fault reports required before the head acts (1 = act on first report).
-  std::uint32_t reports_required = 1;
   /// Delay between demoting the suspect to Backup and parking it Dormant
   /// (the paper's T3 - T2 = 200 s).
   util::Duration dormant_delay = util::Duration::seconds(200);
@@ -30,11 +32,10 @@ struct FailoverPolicy {
   /// arbitration picks a node that died without ever being observed).
   util::Duration promotion_timeout = util::Duration::seconds(2);
   /// Head succession: the head broadcasts a liveness beacon at this period;
-  /// members that miss `beacon_loss_threshold` consecutive beacons elect a
+  /// members that miss kBeaconLossThreshold consecutive beacons elect a
   /// successor: the next member id above the silent head, wrapping to the
   /// lowest. A returning lower-id head reclaims the role.
   util::Duration head_beacon_period = util::Duration::seconds(1);
-  std::uint32_t beacon_loss_threshold = 5;
   /// Head-side backstop detector: when the Active replica of a function has
   /// not heartbeat in Active mode for this long, the head treats it as
   /// silently failed and re-arbitrates — even with no live Backup left to
@@ -43,7 +44,7 @@ struct FailoverPolicy {
 
   /// Head silence after which members start a succession.
   util::Duration beacon_silence() const {
-    return head_beacon_period * beacon_loss_threshold;
+    return head_beacon_period * kBeaconLossThreshold;
   }
 };
 
@@ -59,7 +60,6 @@ class HeadArbiter {
  public:
   struct ReplicaRecord {
     std::optional<ControllerMode> mode;  // nullopt: not in the role table
-    std::uint32_t reports = 0;           // fault reports not yet acted on
     std::optional<util::TimePoint> last_active_heartbeat;
     /// Rate limit: one stale-Active demote per beacon-silence window while
     /// the command is in transit.
@@ -141,6 +141,8 @@ class HeadArbiter {
   /// Every heartbeat the head hears from another node: re-supervise the
   /// sender (demote a stale Active, re-admit or promote a rejoiner).
   Decision on_heartbeat(const HeartbeatMsg& msg, util::TimePoint now);
+  /// A Backup's fault report: the first one naming the Active replica fails
+  /// it over; a report naming anyone else was already handled.
   Decision on_fault_report(const FaultReportMsg& msg, util::TimePoint now);
   /// Head, once per beacon: fail over silent Actives, re-arbitrate
   /// functions with no Active replica.

@@ -63,7 +63,6 @@ util::Status Router::send(NodeId destination, std::uint8_t type,
   d.source = id();
   d.destination = destination;
   d.type = type;
-  d.ttl = default_ttl_;
   d.seq = ++next_seq_;
   d.payload = std::move(payload);
   if (destination == kBroadcast) {
@@ -82,7 +81,6 @@ util::Status Router::send_beacon(std::uint8_t type,
   d.source = id();
   d.destination = kBroadcast;
   d.type = type;
-  d.ttl = default_ttl_;
   d.seq = ++next_seq_;
   d.beacon_probe = true;
   d.payload = std::move(payload);

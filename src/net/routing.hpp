@@ -3,7 +3,7 @@
 // assessment) ride on this so multi-hop virtual components work; the paper's
 // six-node HIL setup is single-hop through the gateway but E5 sweeps 1-5
 // hops. Broadcasts are one-hop by default; multi-hop worlds built from a
-// TopologySpec enable either TTL-bounded deduplicated flooding or — the
+// TopologySpec enable either deduplicated flooding or — the
 // scaled mode — tree-scoped dissemination, where only the interior nodes of
 // the gateway-rooted spanning tree (pruned to the replica set) re-broadcast,
 // so multicast cost follows the tree size instead of the node count.
@@ -30,6 +30,13 @@ namespace evm::net {
 /// Packet.type value used by routed datagrams at the link layer.
 inline constexpr std::uint8_t kRoutedPacketType = 0x52;  // 'R'
 
+/// Hop budget every datagram starts with. Deduplication ends broadcast
+/// loops, so the TTL only bounds a unicast in a transient routing loop and
+/// needs no per-world sizing. 255 hops exceed every shipped and fuzzed
+/// world's diameter (the 1000-node grid spans 63); a longer shortest path
+/// (a line of over 256 nodes) would stop relaying at hop 255.
+inline constexpr std::uint8_t kMaxTtl = 255;
+
 /// Piggy-backed head-beacon gossip: the freshest VC-head liveness proof this
 /// frame's sender knows. `head == kInvalidNode` means untagged. The sequence
 /// only moves when the head itself beats, so stale tags circulating through
@@ -45,7 +52,7 @@ struct Datagram {
   NodeId source = kInvalidNode;
   NodeId destination = kBroadcast;
   std::uint8_t type = 0;  // upper-layer (EVM) message class
-  std::uint8_t ttl = 8;
+  std::uint8_t ttl = kMaxTtl;
   /// Originator-assigned sequence number; (source, seq) deduplicates
   /// flooded broadcasts arriving over multiple paths.
   std::uint16_t seq = 0;
@@ -109,9 +116,6 @@ class Router {
   /// Out-of-tree pure relays neither receive the beacon plane reliably nor
   /// hold replicas, so head-liveness supervision skips them.
   bool participates_in_dissemination() const;
-  /// TTL stamped on originated datagrams (raise to at least the network
-  /// diameter for flooded worlds).
-  void set_default_ttl(std::uint8_t ttl) { default_ttl_ = ttl; }
 
   /// Install the freshest head-beacon tag; stamped onto every datagram this
   /// router subsequently originates or relays (data-plane piggy-backing).
@@ -174,7 +178,6 @@ class Router {
   BroadcastMode mode_ = BroadcastMode::kSingleHop;
   const DisseminationTreeCache* tree_cache_ = nullptr;
   BeaconTag beacon_tag_;
-  std::uint8_t default_ttl_ = 8;
   std::uint16_t next_seq_ = 0;
   /// The last kSize broadcast seqs accepted from one source, in a fixed
   /// ring: a lookup scans one contiguous block, and once full each new seq

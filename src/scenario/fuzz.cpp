@@ -18,6 +18,25 @@ using util::Rng;
 
 namespace {
 
+// The generator's validity rules. They keep generated scenarios inside the
+// envelope the paper claims to survive (bounded loss, bounded node
+// downtime), so an invariant violation is a bug, not an unsurvivable world.
+
+/// Cap on per-link i.i.d. loss events. (Gilbert-Elliott bursts draw their
+/// bad-state loss from a fixed [0.3, 0.9] — bursts are bounded in *time*
+/// by clears and the failover-settle window, not in intensity.)
+constexpr double kMaxLinkLoss = 0.35;
+/// Cap on the Fig. 5 world's background loss on every link.
+constexpr double kMaxTestbedLoss = 0.15;
+/// A forced restart (any non-controller node, and every controller crash
+/// after the first disturbance) lands at most this long after the crash.
+constexpr double kMaxRestartGapS = 8.0;
+constexpr double kChurnProbability = 0.3;
+/// Probability of running in a randomized multi-hop world (line / grid /
+/// star with relay nodes between sensor and controllers) instead of the
+/// Fig. 5 mesh. The control period scales with the world's TDMA frame.
+constexpr double kTopologyProbability = 0.5;
+
 /// Schedule bookkeeping while generating events in time order: which nodes
 /// are down at `t` (and when each comes back; infinity = never), and
 /// whether anything failover-capable has happened yet. Crash-plus-bounded-
@@ -72,11 +91,6 @@ Json GeneratorConfig::to_json() const {
   j.set("min_horizon_s", min_horizon_s);
   j.set("max_horizon_s", max_horizon_s);
   j.set("max_events", max_events);
-  j.set("max_link_loss", max_link_loss);
-  j.set("max_testbed_loss", max_testbed_loss);
-  j.set("max_restart_gap_s", max_restart_gap_s);
-  j.set("churn_probability", churn_probability);
-  j.set("topology_probability", topology_probability);
   return j;
 }
 
@@ -96,7 +110,7 @@ ScenarioSpec generate_spec(std::uint64_t run_seed, const GeneratorConfig& config
 
   // World draw: the Fig. 5 mesh, or a randomized multi-hop line / grid /
   // star with relay nodes between sensor and controllers.
-  if (rng.bernoulli(config.topology_probability)) {
+  if (rng.bernoulli(kTopologyProbability)) {
     switch (rng.next_below(3)) {
       case 0:
         spec.testbed.topology = testbed::line_topology(
@@ -134,7 +148,7 @@ ScenarioSpec generate_spec(std::uint64_t run_seed, const GeneratorConfig& config
     // evaluation order of function arguments unspecified.
     const bool third = rng.bernoulli(0.4);
     const double loss =
-        rng.bernoulli(0.5) ? q6(rng.uniform(0.0, config.max_testbed_loss)) : 0.0;
+        rng.bernoulli(0.5) ? q6(rng.uniform(0.0, kMaxTestbedLoss)) : 0.0;
     spec.testbed.topology = testbed::default_fig5_topology(third, loss);
   }
 
@@ -170,7 +184,7 @@ ScenarioSpec generate_spec(std::uint64_t run_seed, const GeneratorConfig& config
     if (ctrl_link) state.disturbance_seen = true;
     return ctrl_link;
   };
-  if (rng.bernoulli(config.churn_probability)) {
+  if (rng.bernoulli(kChurnProbability)) {
     spec.churn.enabled = true;
     spec.churn.outages_per_minute = q3(rng.uniform(2.0, 15.0));
     spec.churn.outage_s = q3(rng.uniform(1.0, 5.0));
@@ -223,7 +237,7 @@ ScenarioSpec generate_spec(std::uint64_t run_seed, const GeneratorConfig& config
         double back = std::numeric_limits<double>::infinity();
         if (restart) {
           FaultEvent r;
-          back = q3(t + rng.uniform(2.0, config.max_restart_gap_s));
+          back = q3(t + rng.uniform(2.0, kMaxRestartGapS));
           r.at_s = back;
           r.kind = EventKind::kNodeRestart;
           r.node = target;
@@ -270,7 +284,7 @@ ScenarioSpec generate_spec(std::uint64_t run_seed, const GeneratorConfig& config
       case 4: {  // i.i.d. per-frame loss (persistent: it is never reset)
         e.kind = EventKind::kLinkLoss;
         (void)pick_link(e);
-        e.value = q6(rng.uniform(0.0, config.max_link_loss));
+        e.value = q6(rng.uniform(0.0, kMaxLinkLoss));
         spec.events.push_back(e);
         break;
       }

@@ -25,27 +25,12 @@
 
 namespace evm::scenario {
 
-/// Bounds on what the generator may emit. The caps are validity rules: they
-/// keep generated scenarios inside the envelope the paper claims to survive
-/// (bounded loss, bounded node downtime), so invariant violations are bugs.
+/// The size of what the generator emits: horizon and event count. (The
+/// caps on loss and downtime are fixed validity rules in fuzz.cpp.)
 struct GeneratorConfig {
   double min_horizon_s = 45.0;
   double max_horizon_s = 75.0;
   std::size_t max_events = 10;
-  /// Cap on per-link i.i.d. loss events. (Gilbert-Elliott bursts draw their
-  /// bad-state loss from a fixed [0.3, 0.9] — bursts are bounded in *time*
-  /// by clears and the failover-settle window, not in intensity.)
-  double max_link_loss = 0.35;
-  /// Cap on the spec-wide background loss.
-  double max_testbed_loss = 0.15;
-  /// A forced restart (any non-controller node, and every controller crash
-  /// after the first disturbance) lands at most this long after the crash.
-  double max_restart_gap_s = 8.0;
-  double churn_probability = 0.3;
-  /// Probability of running in a randomized multi-hop world (line / grid /
-  /// star with relay nodes between sensor and controllers) instead of the
-  /// Fig. 5 mesh. The control period scales with the world's TDMA frame.
-  double topology_probability = 0.5;
 
   util::Json to_json() const;
 };

@@ -135,11 +135,11 @@ void InvariantMonitor::on_probe(double t_s, const ProbeSample& sample) {
 
 void InvariantMonitor::on_level(double t_s, double level_pct) {
   ++checks_performed_;
-  const double dev = std::fabs(level_pct - spec_.testbed.level_setpoint);
+  const double dev = std::fabs(level_pct - testbed::kLevelSetpoint);
   if (dev > config_.max_level_dev_pct) {
     add("safety.level_deviation", t_s,
         "level " + fmt(level_pct) + " % deviates " + fmt(dev) +
-            " % from the " + fmt(spec_.testbed.level_setpoint) +
+            " % from the " + fmt(testbed::kLevelSetpoint) +
             " % setpoint (bound " + fmt(config_.max_level_dev_pct) + " %)");
   }
 }

@@ -257,14 +257,10 @@ void ScenarioRunner::probe_once() {
   }
   for (net::NodeId id : topo.node_ids()) {
     sample.failover_count += tb.service(id).failovers().size();
-    auto& scheduler = tb.node(id).kernel().scheduler();
-    for (rtos::TaskId task : scheduler.task_ids()) {
-      const rtos::Tcb* tcb = scheduler.task(task);
-      if (tcb == nullptr) continue;
-      sample.missed_deadlines += tcb->stats.deadline_misses;
-      sample.task_releases += tcb->stats.releases;
-    }
   }
+  const testbed::TestbedBuilder::TaskTotals tasks = tb.task_totals();
+  sample.missed_deadlines = tasks.deadline_misses;
+  sample.task_releases = tasks.releases;
   const double now_s = tb.sim().now().to_seconds();
   monitor_->on_probe(now_s, sample);
   const double period = monitor_->config().probe_period_s;
@@ -277,6 +273,11 @@ void ScenarioRunner::probe_once() {
 RunMetrics ScenarioRunner::collect() {
   auto& tb = *testbed_;
   const testbed::TopologySpec& topo = tb.topology_spec();
+  // The deterministic observability snapshot (see ScenarioRunner::metrics())
+  // comes first: the report's counter sums read from it.
+  tb.collect_metrics(metrics_);
+  auto counter = [this](const char* name) { return metrics_.counter(name).value; };
+
   RunMetrics m;
   m.seed = seed_;
   m.ok = true;
@@ -288,8 +289,8 @@ RunMetrics ScenarioRunner::collect() {
   for (net::NodeId id : topo.node_ids()) {
     const auto& events = tb.service(id).failovers();
     failovers.insert(failovers.end(), events.begin(), events.end());
-    m.head_successions += tb.service(id).head_successions();
   }
+  m.head_successions = counter("core.service.head_successions");
   std::stable_sort(failovers.begin(), failovers.end(),
                    [](const auto& x, const auto& y) { return x.when < y.when; });
   m.failover_count = failovers.size();
@@ -300,37 +301,26 @@ RunMetrics ScenarioRunner::collect() {
     }
   }
 
-  for (net::NodeId id : topo.node_ids()) {
-    auto& scheduler = tb.node(id).kernel().scheduler();
-    for (rtos::TaskId task : scheduler.task_ids()) {
-      const rtos::Tcb* tcb = scheduler.task(task);
-      if (tcb == nullptr) continue;
-      m.missed_deadlines += tcb->stats.deadline_misses;
-      m.task_releases += tcb->stats.releases;
-    }
-  }
+  m.missed_deadlines = counter("rtos.deadline_misses");
+  m.task_releases = counter("rtos.task_releases");
 
   m.dissemination = tb.multi_hop()
                         ? testbed::to_string(tb.dissemination_mode())
                         : "single_hop";
-  for (net::NodeId id : topo.node_ids()) {
-    const net::Router& router = tb.node(id).router();
-    m.bcast_datagrams += router.broadcasts_originated();
-    m.bcast_transmissions +=
-        router.broadcasts_originated() + router.broadcast_relays();
-    // Reclaimed beacon slots: explicit beacons the head withheld plus probe
-    // relays the interior skipped because data frames already carried the tag.
-    m.beacons_suppressed +=
-        tb.service(id).beacons_suppressed() + router.beacon_relays_suppressed();
-  }
+  m.bcast_datagrams = counter("net.route.broadcasts_originated");
+  m.bcast_transmissions = m.bcast_datagrams + counter("net.route.broadcast_relays");
+  // Reclaimed beacon slots: explicit beacons the head withheld plus probe
+  // relays the interior skipped because data frames already carried the tag.
+  m.beacons_suppressed = counter("core.service.beacons_suppressed") +
+                         counter("net.route.beacon_relays_suppressed");
   if (m.bcast_datagrams > 0) {
     m.slots_per_broadcast = static_cast<double>(m.bcast_transmissions) /
                             static_cast<double>(m.bcast_datagrams);
   }
 
-  m.packets_delivered = tb.medium().delivered_count();
-  m.packets_lost = tb.medium().loss_count();
-  m.packets_collided = tb.medium().collision_count();
+  m.packets_delivered = counter("net.medium.deliveries");
+  m.packets_lost = counter("net.medium.losses");
+  m.packets_collided = counter("net.medium.collisions");
   const std::size_t offered =
       m.packets_delivered + m.packets_lost + m.packets_collided;
   if (offered > 0) {
@@ -343,7 +333,7 @@ RunMetrics ScenarioRunner::collect() {
   if (level != nullptr && !level->samples.empty()) {
     double sum_sq = 0.0;
     for (const auto& [t, value] : level->samples) {
-      const double dev = value - spec_.testbed.level_setpoint;
+      const double dev = value - testbed::kLevelSetpoint;
       sum_sq += dev * dev;
       m.level_max_dev_pct = std::max(m.level_max_dev_pct, std::fabs(dev));
     }
@@ -368,16 +358,13 @@ RunMetrics ScenarioRunner::collect() {
     }
   }
 
-  m.sim_events = tb.sim().dispatched_events();
+  m.sim_events = counter("sim.events_dispatched");
   m.topology_mutations = script_->events_applied();
   const std::int64_t slot_ns = tb.schedule().slot_length().ns();
   if (slot_ns > 0) {
     m.sim_slots = static_cast<std::uint64_t>(
         util::Duration::from_seconds(spec_.horizon_s).ns() / slot_ns);
   }
-
-  // Deterministic observability snapshot (see ScenarioRunner::metrics()).
-  tb.collect_metrics(metrics_);
   return m;
 }
 

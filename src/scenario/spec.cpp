@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string_view>
 #include <utility>
 
@@ -9,6 +10,7 @@
 
 namespace evm::scenario {
 
+using util::as_integer;
 using util::check_keys;
 using util::Json;
 using util::Result;
@@ -202,8 +204,8 @@ Result<ScenarioSpec> ScenarioSpec::from_json(const Json& json) {
     }
     if (Status s = check_keys(*tb,
                               "control_period_ms evidence_threshold "
-                              "dormant_delay_s level_setpoint "
-                              "promotion_timeout_s head_beacon_s dissemination",
+                              "dormant_delay_s promotion_timeout_s "
+                              "head_beacon_s dissemination",
                               "'testbed'");
         !s) {
       return s;
@@ -216,11 +218,12 @@ Result<ScenarioSpec> ScenarioSpec::from_json(const Json& json) {
       return Status::invalid_argument("'control_period_ms' must be positive");
     }
     if (const Json* v = tb->find("evidence_threshold")) {
-      const std::int64_t threshold = v->is_number() ? v->as_int() : -1;
-      if (threshold < 1) {
-        return Status::invalid_argument("'evidence_threshold' must be a number >= 1");
+      const auto threshold =
+          as_integer(*v, 1, std::numeric_limits<std::uint32_t>::max());
+      if (!threshold) {
+        return Status::invalid_argument("'evidence_threshold' must be an integer >= 1");
       }
-      cfg.evidence_threshold = static_cast<std::uint32_t>(threshold);
+      cfg.evidence_threshold = static_cast<std::uint32_t>(*threshold);
     }
     double dormant_delay_s = cfg.dormant_delay.to_seconds();
     if (Status s = read_number(*tb, "dormant_delay_s", dormant_delay_s); !s) return s;
@@ -228,7 +231,6 @@ Result<ScenarioSpec> ScenarioSpec::from_json(const Json& json) {
     if (cfg.dormant_delay < util::Duration::zero()) {
       return Status::invalid_argument("'dormant_delay_s' must be >= 0");
     }
-    if (Status s = read_number(*tb, "level_setpoint", cfg.level_setpoint); !s) return s;
     double promotion_timeout_s = cfg.promotion_timeout.to_seconds();
     if (Status s = read_number(*tb, "promotion_timeout_s", promotion_timeout_s); !s) return s;
     cfg.promotion_timeout = util::Duration::from_seconds(promotion_timeout_s);
@@ -292,10 +294,10 @@ Result<ScenarioSpec> ScenarioSpec::from_json(const Json& json) {
     if (Status s = read_number(*churn, "start_s", spec.churn.start_s); !s) return s;
     if (Status s = read_number(*churn, "end_margin_s", spec.churn.end_margin_s); !s) return s;
     if (const Json* salt = churn->find("rng_salt")) {
-      if (!salt->is_number()) {
-        return Status::invalid_argument("'rng_salt' must be a number");
-      }
-      spec.churn.rng_salt = static_cast<std::uint64_t>(salt->as_int());
+      const auto value =
+          as_integer(*salt, -util::kMaxExactInteger, util::kMaxExactInteger);
+      if (!value) return Status::invalid_argument("'rng_salt' must be an integer");
+      spec.churn.rng_salt = static_cast<std::uint64_t>(*value);
     }
     if (spec.churn.outages_per_minute < 0.0 || spec.churn.outage_s <= 0.0) {
       return Status::invalid_argument("churn rates must be non-negative, outage_s positive");
@@ -420,15 +422,18 @@ Result<ScenarioSpec> ScenarioSpec::from_json(const Json& json) {
             auto node = event_node(entry, "node", kind_name, topo);
             if (!node) return node.status();
             e.node = *node;
-            auto count = require_number(entry, "count", kind_name);
-            if (!count) return count.status();
-            e.count = static_cast<int>(*count);
+            const Json* count = entry.find("count");
+            if (count == nullptr) return missing("count", kind_name);
+            const auto publishes =
+                as_integer(*count, 1, std::numeric_limits<int>::max());
+            if (!publishes) {
+              return Status::invalid_argument("event '" + std::string(kind_name) +
+                                              "' field 'count' must be an integer >= 1");
+            }
+            e.count = static_cast<int>(*publishes);
             auto interval = require_number(entry, "interval_ms", kind_name);
             if (!interval) return interval.status();
             e.interval_ms = *interval;
-            if (e.count <= 0) {
-              return Status::invalid_argument("'count' must be >= 1");
-            }
             if (e.interval_ms <= 0.0) {
               return Status::invalid_argument("'interval_ms' must be positive");
             }
@@ -502,7 +507,6 @@ Json ScenarioSpec::to_json() const {
   tb.set("dormant_delay_s", testbed.dormant_delay.to_seconds());
   tb.set("promotion_timeout_s", testbed.promotion_timeout.to_seconds());
   tb.set("head_beacon_s", testbed.head_beacon_period.to_seconds());
-  tb.set("level_setpoint", testbed.level_setpoint);
   tb.set("dissemination", testbed::to_string(testbed.dissemination));
   root.set("testbed", std::move(tb));
 

@@ -70,7 +70,7 @@ void TestbedBuilder::build_descriptor() {
   pid.kp = 2.0;
   pid.ki = 0.02;
   pid.kd = 0.0;
-  pid.setpoint = config_.level_setpoint;
+  pid.setpoint = kLevelSetpoint;
   pid.action = 1.0;  // level above setpoint -> open the drain valve further
   pid.output_min = 0.0;
   pid.output_max = 100.0;
@@ -114,7 +114,6 @@ void TestbedBuilder::build_descriptor() {
 
 void TestbedBuilder::build_nodes() {
   core::FailoverPolicy policy;
-  policy.reports_required = 1;
   policy.dormant_delay = config_.dormant_delay;
   policy.promotion_timeout = config_.promotion_timeout;
   // The backstop silence detector must out-wait legitimate heartbeat gaps,
@@ -127,12 +126,9 @@ void TestbedBuilder::build_nodes() {
   // need the routers to carry them across. The default (kAuto) is scoped
   // dissemination over the gateway-rooted spanning tree pruned to the
   // role nodes — multicast cost follows the tree size; kFlood keeps the
-  // PR 4 every-node re-broadcast as the comparison baseline.
-  // The one all-pairs pass per build: the router TTL needs the exact
-  // diameter, and the multi-hop verdict is kept for collect-time readers.
-  const int diameter = topo_.diameter();
-  multi_hop_ = diameter > 1;
-  const std::uint8_t ttl = static_cast<std::uint8_t>(std::max(8, diameter + 1));
+  // every-node re-broadcast as the comparison baseline. The multi-hop
+  // verdict is kept for collect-time readers.
+  multi_hop_ = topo_.multi_hop();
   dissemination_ = config_.dissemination;
   if (dissemination_ == DisseminationMode::kAuto) {
     dissemination_ = multi_hop_ ? DisseminationMode::kTree
@@ -162,7 +158,6 @@ void TestbedBuilder::build_nodes() {
         nodes_[entry.id]->router().enable_flooding();
       }
       nodes_[entry.id]->mac().set_unicast_priority(true);
-      nodes_[entry.id]->router().set_default_ttl(ttl);
     }
     services_[entry.id] =
         std::make_unique<core::EvmService>(*nodes_[entry.id], descriptor_, policy);
@@ -202,9 +197,9 @@ void TestbedBuilder::start() {
   // compute the balancing valve opening (the paper's 11.48 % equivalent),
   // then pin level and valve at the operating point.
   plant_.settle(600.0);
-  steady_opening_ = plant_.steady_lts_opening(config_.level_setpoint);
+  steady_opening_ = plant_.steady_lts_opening(kLevelSetpoint);
   plant_.set_lts_valve(steady_opening_);
-  plant_.lts().set_level_percent(config_.level_setpoint);
+  plant_.lts().set_level_percent(kLevelSetpoint);
   plant_.settle(120.0);
 
   timesync_->start();
@@ -229,9 +224,9 @@ void TestbedBuilder::start() {
     (void)svc.seed_function_slot(kLtsLevelLoop, core::kPidSlotIntegral,
                                  steady_opening_);
     (void)svc.seed_function_slot(kLtsLevelLoop, core::kPidSlotFilter1,
-                                 config_.level_setpoint);
+                                 kLevelSetpoint);
     (void)svc.seed_function_slot(kLtsLevelLoop, core::kPidSlotFilter2,
-                                 config_.level_setpoint);
+                                 kLevelSetpoint);
     (void)svc.seed_function_slot(kLtsLevelLoop, core::kPidSlotInit, 1.0);
   }
 }
@@ -306,17 +301,24 @@ void TestbedBuilder::collect_metrics(obs::Metrics& metrics) {
     beacons_suppressed.add(service->beacons_suppressed());
   }
 
-  auto& releases = metrics.counter("rtos.task_releases");
-  auto& misses = metrics.counter("rtos.deadline_misses");
+  const TaskTotals tasks = task_totals();
+  metrics.counter("rtos.task_releases").add(tasks.releases);
+  metrics.counter("rtos.deadline_misses").add(tasks.deadline_misses);
+}
+
+TestbedBuilder::TaskTotals TestbedBuilder::task_totals() {
+  TaskTotals totals;
   for (auto& [id, node] : nodes_) {
     (void)id;
-    for (rtos::TaskId task : node->kernel().scheduler().task_ids()) {
-      const rtos::Tcb* tcb = node->kernel().scheduler().task(task);
+    auto& scheduler = node->kernel().scheduler();
+    for (rtos::TaskId task : scheduler.task_ids()) {
+      const rtos::Tcb* tcb = scheduler.task(task);
       if (tcb == nullptr) continue;
-      releases.add(tcb->stats.releases);
-      misses.add(tcb->stats.deadline_misses);
+      totals.releases += tcb->stats.releases;
+      totals.deadline_misses += tcb->stats.deadline_misses;
     }
   }
+  return totals;
 }
 
 void TestbedBuilder::inject_primary_fault(double wrong_value) {

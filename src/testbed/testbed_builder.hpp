@@ -36,13 +36,11 @@ struct GasPlantTestbedConfig {
   /// Head-side supervision window for a freshly promoted replica. Multi-hop
   /// worlds with long control periods need more than the 2 s default.
   util::Duration promotion_timeout = util::Duration::seconds(2);
-  /// Head liveness beacon period. The succession window is this times the
-  /// policy's beacon_loss_threshold (5); it must out-wait a few TDMA frames
+  /// Head liveness beacon period. The succession window is this times
+  /// core::kBeaconLossThreshold (5); it must out-wait a few TDMA frames
   /// or members elect a rogue head every frame. Worlds whose frame exceeds
   /// ~1 s (hundreds of nodes) must raise it.
   util::Duration head_beacon_period = util::Duration::seconds(1);
-  /// Level setpoint (percent).
-  double level_setpoint = 50.0;
   /// Broadcast dissemination scheme (see DisseminationMode).
   DisseminationMode dissemination = DisseminationMode::kAuto;
   plant::GasPlantConfig plant = [] {
@@ -57,6 +55,8 @@ struct GasPlantTestbedConfig {
 };
 
 inline constexpr core::FunctionId kLtsLevelLoop = 1;
+/// LTS level setpoint (percent) the controllers regulate to.
+inline constexpr double kLevelSetpoint = 50.0;
 inline constexpr std::uint8_t kLevelStream = 0;
 inline constexpr std::uint8_t kValveChannel = 0;
 
@@ -93,8 +93,8 @@ class TestbedBuilder {
   /// The resolved dissemination mode (kAuto collapsed to what was built);
   /// never kAuto after construction.
   DisseminationMode dissemination_mode() const { return dissemination_; }
-  /// topology_spec().multi_hop(), as found by the build's one diameter()
-  /// pass: routers relay broadcasts only in multi-hop worlds.
+  /// topology_spec().multi_hop(), as found at build time: routers relay
+  /// broadcasts only in multi-hop worlds.
   bool multi_hop() const { return multi_hop_; }
   /// The shared liveness-aware dissemination tree, or nullptr outside
   /// tree mode (single-hop / flood worlds).
@@ -116,6 +116,13 @@ class TestbedBuilder {
   /// "Observability" table documents every name). Purely reads existing
   /// counters, so calling it never perturbs the run; same run, same numbers.
   void collect_metrics(obs::Metrics& metrics);
+
+  /// Task releases and deadline misses, summed over every node's kernel.
+  struct TaskTotals {
+    std::uint64_t releases = 0;
+    std::uint64_t deadline_misses = 0;
+  };
+  TaskTotals task_totals();
 
  private:
   void build_descriptor();

@@ -9,6 +9,7 @@
 
 namespace evm::testbed {
 
+using util::as_integer;
 using util::check_keys;
 using util::Json;
 using util::Result;
@@ -286,11 +287,15 @@ std::string TopologySpec::node_name(net::NodeId id) const {
 
 Result<net::NodeId> TopologySpec::parse_node(const Json& ref) const {
   if (ref.is_number()) {
-    const std::int64_t id = ref.as_int();
-    for (const auto& node : nodes) {
-      if (node.id == id) return node.id;
+    const auto id = as_integer(ref, -util::kMaxExactInteger, util::kMaxExactInteger);
+    if (!id) {
+      return Status::invalid_argument("node id " + ref.dump_compact() +
+                                      " is not an integer");
     }
-    return Status::invalid_argument("unknown node id " + std::to_string(id) +
+    for (const auto& node : nodes) {
+      if (node.id == *id) return node.id;
+    }
+    return Status::invalid_argument("unknown node id " + std::to_string(*id) +
                                     " (this topology has " +
                                     std::to_string(nodes.size()) + " nodes)");
   }
@@ -583,12 +588,14 @@ Result<TopologySpec> TopologySpec::from_json(const Json& json) {
                         std::size_t min_value) -> Result<std::size_t> {
     const Json* v = json.find(key);
     if (v == nullptr) return fallback;
-    if (!v->is_number() || v->as_int() < static_cast<std::int64_t>(min_value)) {
+    const auto count = as_integer(*v, static_cast<std::int64_t>(min_value),
+                                  util::kMaxExactInteger);
+    if (!count) {
       return Status::invalid_argument("topology '" + std::string(key) +
-                                      "' must be a number >= " +
+                                      "' must be an integer >= " +
                                       std::to_string(min_value));
     }
-    return static_cast<std::size_t>(v->as_int());
+    return static_cast<std::size_t>(*count);
   };
   auto read_loss = [&]() -> Result<double> {
     const Json* v = json.find("link_loss");
@@ -679,14 +686,15 @@ Result<TopologySpec> TopologySpec::from_json(const Json& json) {
       return s;
     }
     TopologyNode node;
-    const Json* id = entry.find("id");
-    if (id == nullptr || !id->is_number() || id->as_int() < 1 ||
-        id->as_int() >= net::kInvalidNode) {
+    const Json* id_ref = entry.find("id");
+    const auto id = id_ref == nullptr ? std::nullopt
+                                      : as_integer(*id_ref, 1, net::kInvalidNode - 1);
+    if (!id) {
       return Status::invalid_argument("topology nodes[" + std::to_string(i) +
-                                      "] requires a numeric 'id' in [1, " +
+                                      "] requires an integer 'id' in [1, " +
                                       std::to_string(net::kInvalidNode - 1) + "]");
     }
-    node.id = static_cast<net::NodeId>(id->as_int());
+    node.id = static_cast<net::NodeId>(*id);
     const Json* role = entry.find("role");
     if (role == nullptr || !role->is_string()) {
       return Status::invalid_argument("topology nodes[" + std::to_string(i) +

@@ -488,4 +488,15 @@ Status check_keys(const Json& obj, std::string_view known,
   return Status::ok();
 }
 
+std::optional<std::int64_t> as_integer(const Json& v, std::int64_t min,
+                                       std::int64_t max) {
+  if (!v.is_number()) return std::nullopt;
+  const double d = v.as_double();
+  if (!(d >= static_cast<double>(min) && d <= static_cast<double>(max)) ||
+      d != std::floor(d)) {
+    return std::nullopt;
+  }
+  return static_cast<std::int64_t>(d);
+}
+
 }  // namespace evm::util

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -100,5 +101,15 @@ Result<Json> load_json_file(const std::string& path);
 /// different experiment than the file describes, without a word.
 Status check_keys(const Json& obj, std::string_view known,
                   const std::string& section);
+
+/// Largest magnitude up to which a JSON number holds every integer exactly.
+inline constexpr std::int64_t kMaxExactInteger = std::int64_t{1} << 53;
+
+/// `v` as a whole number in [min, max] (both within kMaxExactInteger), or
+/// nullopt when it is not a number, has a fractional part or lies outside
+/// the range. Json::as_int() truncates, so a count or an id read through it
+/// would take a typo like 8.7 for 8 and silently run another experiment.
+std::optional<std::int64_t> as_integer(const Json& v, std::int64_t min,
+                                       std::int64_t max);
 
 }  // namespace evm::util

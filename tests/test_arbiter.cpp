@@ -20,7 +20,6 @@ FailoverPolicy test_policy() {
   policy.dormant_delay = Duration::seconds(30);
   policy.promotion_timeout = Duration::seconds(4);
   policy.head_beacon_period = Duration::seconds(1);
-  policy.beacon_loss_threshold = 5;
   policy.active_silence_timeout = Duration::seconds(10);
   return policy;
 }
@@ -163,15 +162,6 @@ TEST(HeadArbiter, NoBackupDegradesToIndicator) {
   expect_command(d.commands[0], 2, ControllerMode::kIndicator, 1);
   EXPECT_TRUE(d.timers.empty());
   EXPECT_FALSE(arbiter.active(kLoop).has_value());
-}
-
-TEST(HeadArbiter, ReportsRequiredAreCountedPerSuspect) {
-  FailoverPolicy policy = test_policy();
-  policy.reports_required = 2;
-  HeadArbiter arbiter = started_head(policy);
-  EXPECT_FALSE(arbiter.on_fault_report(report(2, 3), at(1)).failover.has_value());
-  EXPECT_FALSE(arbiter.on_fault_report(report(4, 3), at(2)).failover.has_value());
-  EXPECT_TRUE(arbiter.on_fault_report(report(2, 4), at(3)).failover.has_value());
 }
 
 TEST(HeadArbiter, StaleActiveDemoteIsRateLimitedPerSilenceWindow) {

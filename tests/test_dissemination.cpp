@@ -190,7 +190,6 @@ struct TreeRoutingFixture : ::testing::Test {
       s.mac = std::make_unique<RtLink>(sim, *s.radio, s.clock, schedule);
       s.router = std::make_unique<Router>(*s.mac, topo);
       s.router->enable_tree_dissemination(cache.get());
-      s.router->set_default_ttl(8);
       sync.attach(id, s.clock);
       schedule.assign_tx(slot++, id);
     }

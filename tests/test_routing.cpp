@@ -330,7 +330,6 @@ TEST_F(RoutingFixture, FloodedBroadcastCrossesRelaysExactlyOnce) {
   for (NodeId id : {1, 2, 3, 4, 5}) {
     Router& r = make_node(id);
     r.enable_flooding();
-    r.set_default_ttl(6);
     r.set_receive_handler([&got, id](const Datagram& d) {
       EXPECT_EQ(d.source, 1);
       ++got[id];
@@ -341,6 +340,27 @@ TEST_F(RoutingFixture, FloodedBroadcastCrossesRelaysExactlyOnce) {
   run_for(util::Duration::seconds(2));
   for (NodeId id : {2, 3, 4, 5}) EXPECT_EQ(got[id], 1) << "node " << id;
   EXPECT_EQ(got[1], 0);  // own broadcast must not echo back up
+}
+
+TEST_F(RoutingFixture, TreeBroadcastCrossesElevenHopsWithTheDefaultTtl) {
+  // A 12-node line whose every node is a dissemination target: the ten
+  // interior nodes relay the root's broadcast to the far end. No router
+  // sets a TTL, and the one every datagram starts with outlasts 11 hops.
+  std::vector<NodeId> ids;
+  for (NodeId id = 1; id <= 12; ++id) ids.push_back(id);
+  topo = Topology::line(ids);
+  schedule = RtLinkSchedule{12, util::Duration::millis(5)};
+  DisseminationTreeCache cache{topo, 1, ids};
+  std::map<NodeId, int> got;
+  for (NodeId id : ids) {
+    Router& r = make_node(id);
+    r.enable_tree_dissemination(&cache);
+    r.set_receive_handler([&got, id](const Datagram&) { ++got[id]; });
+  }
+  start_all();
+  ASSERT_TRUE(stacks[1].router->send(kBroadcast, 1, {}));
+  run_for(util::Duration::seconds(3));
+  for (NodeId id = 2; id <= 12; ++id) EXPECT_EQ(got[id], 1) << "node " << id;
 }
 
 TEST_F(RoutingFixture, FloodDeduplicatesAcrossDiamondPaths) {

@@ -42,7 +42,7 @@ TEST(ScenarioSpec, ParsesFullSchedule) {
     "name": "full",
     "horizon_s": 90,
     "testbed": {"control_period_ms": 200, "evidence_threshold": 4,
-                "dormant_delay_s": 7.5, "level_setpoint": 55},
+                "dormant_delay_s": 7.5},
     "topology": {"generator": "fig5", "third_controller": true, "link_loss": 0.1},
     "record": ["TowerFeed.MolarFlow"],
     "churn": {"outages_per_minute": 10, "outage_s": 2},
@@ -102,6 +102,19 @@ TEST(ScenarioSpec, RejectsMalformedSpecs) {
       R"({"name": "x", "churn": {"outages_per_minute": "15"}})",
       R"({"name": "x", "events": [{"at_s": 1, "do": "link_outage", "a": "sensor", "b": "ctrl_a", "duration_s": "3"}]})",
       R"({"name": "x", "events": [{"at_s": 1, "do": "traffic_burst", "node": "sensor", "count": "5", "interval_ms": 10}]})",
+      // Integer fields reject fractions instead of truncating them.
+      R"({"name": "x", "topology": {"generator": "line", "nodes": 8.7}})",
+      R"({"name": "x", "topology": {"generator": "line", "nodes": 8, "controllers": 2.5}})",
+      R"({"name": "x", "topology": {"generator": "grid", "width": 4.5, "height": 3}})",
+      R"({"name": "x", "topology": {"generator": "grid", "width": 4, "height": 3.5}})",
+      R"({"name": "x", "testbed": {"evidence_threshold": 6.9}})",
+      R"({"name": "x", "events": [{"at_s": 1, "do": "traffic_burst", "node": "sensor", "count": 5.5, "interval_ms": 10}]})",
+      R"({"name": "x", "topology": {"nodes": [{"id": 1, "role": "gateway"},
+          {"id": 2.5, "role": "sensor"}, {"id": 3, "role": "controller"},
+          {"id": 4, "role": "actuator"}],
+          "links": [{"a": 1, "b": 2}, {"a": 2, "b": 3}, {"a": 3, "b": 4}]}})",
+      R"({"name": "x", "events": [{"at_s": 1, "do": "node_crash", "node": 3.7}]})",
+      R"({"name": "x", "churn": {"outages_per_minute": 10, "rng_salt": 1.5}})",
   };
   for (const char* text : bad) {
     auto spec = parse(text);
@@ -332,7 +345,6 @@ void expect_same_experiment(const ScenarioSpec& a, const ScenarioSpec& b,
   EXPECT_EQ(x.dormant_delay.ns(), y.dormant_delay.ns());
   EXPECT_EQ(x.promotion_timeout.ns(), y.promotion_timeout.ns());
   EXPECT_EQ(x.head_beacon_period.ns(), y.head_beacon_period.ns());
-  EXPECT_EQ(x.level_setpoint, y.level_setpoint);
   EXPECT_EQ(x.dissemination, y.dissemination);
   EXPECT_EQ(x.topology.to_json().dump(), y.topology.to_json().dump());
   EXPECT_EQ(a.record, b.record);
@@ -407,6 +419,9 @@ TEST(ScenarioSpec, RejectsUnknownKeysInEverySection) {
       {R"({"name": "x", "testbed": {"link_loss": 0.1}})", "link_loss", "'testbed'"},
       {R"({"name": "x", "testbed": {"third_controller": true}})",
        "third_controller", "'testbed'"},
+      // The level setpoint is a constant, not a spec knob.
+      {R"({"name": "x", "testbed": {"level_setpoint": 55}})",
+       "level_setpoint", "'testbed'"},
       // Each generator takes its own keys only: fig5 has no 'controllers'.
       {R"({"name": "x", "topology": {"generator": "fig5", "controllers": 3}})",
        "controllers", "topology: unknown key 'controllers' in the fig5 generator"},

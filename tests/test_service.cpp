@@ -55,7 +55,7 @@ struct ServiceFixture : ::testing::Test {
     schedule.assign_tx(slot++, 1);  // extra head slot
   }
 
-  void start(FailoverPolicy policy = {1, util::Duration::seconds(2)}) {
+  void start(FailoverPolicy policy = {util::Duration::seconds(2)}) {
     for (net::NodeId id : {1, 2, 3, 4}) {
       services[id] = std::make_unique<EvmService>(*nodes[id], vc, policy);
       ASSERT_TRUE(services[id]->start());
@@ -105,7 +105,7 @@ TEST_F(ServiceFixture, ActiveControlsAndBackupShadows) {
 
 TEST_F(ServiceFixture, OutputFaultTriggersFailover) {
   // Long dormant delay so the demoted node is still observable as Backup.
-  start({1, util::Duration::seconds(60)});
+  start({util::Duration::seconds(60)});
   run_for(util::Duration::seconds(1));
   services[2]->inject_output_fault(kLoop, 90.0);
   run_for(util::Duration::seconds(3));
@@ -121,7 +121,7 @@ TEST_F(ServiceFixture, OutputFaultTriggersFailover) {
 }
 
 TEST_F(ServiceFixture, DemotedPrimaryParksDormantAfterDelay) {
-  start({1, util::Duration::seconds(2)});
+  start({util::Duration::seconds(2)});
   run_for(util::Duration::seconds(1));
   services[2]->inject_output_fault(kLoop, 90.0);
   run_for(util::Duration::seconds(2));
@@ -135,7 +135,7 @@ TEST_F(ServiceFixture, RecoveredPrimaryStaysBackupNotDormant) {
   // head's dormant timer must NOT park a now-healthy Backup... policy here:
   // the timer parks it regardless (paper behaviour: Ctrl-A -> Dormant at
   // T3). Verify exactly that documented behaviour.
-  start({1, util::Duration::seconds(2)});
+  start({util::Duration::seconds(2)});
   run_for(util::Duration::seconds(1));
   services[2]->inject_output_fault(kLoop, 90.0);
   run_for(util::Duration::seconds(2));
@@ -169,7 +169,7 @@ TEST_F(ServiceFixture, NoBackupDegradesToIndicator) {
 
 TEST_F(ServiceFixture, GracefulDegradationChain) {
   vc.replicas[kLoop] = {2, 3, 4};
-  start({1, util::Duration::millis(500)});
+  start({util::Duration::millis(500)});
   run_for(util::Duration::seconds(1));
 
   services[2]->inject_output_fault(kLoop, 90.0);
@@ -284,7 +284,7 @@ TEST_F(ServiceFixture, RestartedPrimaryRejoiningActiveIsDemoted) {
   // Fuzzer-found bug #2: a crashed-and-restarted controller resumed its
   // stale pre-crash Active mode alongside the promoted backup. The head
   // must re-supervise the rejoiner down to Backup.
-  start({1, util::Duration::seconds(60)});
+  start({util::Duration::seconds(60)});
   run_for(util::Duration::seconds(1));
   nodes[2]->fail();  // active crashes; backup 3 reports the silence
   run_for(util::Duration::seconds(3));
@@ -575,7 +575,7 @@ TEST_F(ServiceFixture, SuccessorHeadArbitratesFailover) {
 
 TEST_F(ServiceFixture, SuccessorCommandsHonoredViaEpochResumption) {
   // Long dormant delay so the demoted primary keeps shadowing as Backup.
-  start({1, util::Duration::seconds(600)});
+  start({util::Duration::seconds(600)});
   run_for(util::Duration::seconds(2));
   // Exercise epochs under the original head first (failover 2 -> 3).
   services[2]->inject_output_fault(kLoop, 90.0);
@@ -627,7 +627,7 @@ TEST_F(ServiceFixture, QuietHeadFallsBackToExplicitBeacons) {
   // members must stay aligned off it alone.
   for (net::NodeId id : {1, 2, 3, 4}) {
     services[id] = std::make_unique<EvmService>(*nodes[id], vc,
-                                                FailoverPolicy{1, util::Duration::seconds(2)});
+                                                FailoverPolicy{util::Duration::seconds(2)});
     ASSERT_TRUE(services[id]->start());
   }
   sync.start();

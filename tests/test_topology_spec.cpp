@@ -325,6 +325,17 @@ TEST(TopologySpecValidation, RejectsMalformedWorlds) {
       R"({"generator": "grid", "width": 2, "height": 2, "controllers": 2})",
       // unknown generator
       R"({"generator": "torus", "nodes": 9})",
+      // fractional counts and ids must not truncate to a different world
+      R"({"generator": "line", "nodes": 8.7})",
+      R"({"generator": "star", "nodes": 8, "controllers": 2.5})",
+      R"({"generator": "grid", "width": 4.5, "height": 3})",
+      R"({"generator": "grid", "width": 4, "height": 3.2})",
+      R"({"nodes": [{"id": 1, "role": "gateway"}, {"id": 2.5, "role": "sensor"},
+          {"id": 3, "role": "controller"}, {"id": 4, "role": "actuator"}],
+          "links": [{"a": 1, "b": 2}, {"a": 2, "b": 3}, {"a": 3, "b": 4}]})",
+      R"({"nodes": [{"id": 1, "role": "gateway"}, {"id": 2, "role": "sensor"},
+          {"id": 3, "role": "controller"}, {"id": 4, "role": "actuator"}],
+          "links": [{"a": 1, "b": 2}, {"a": 2, "b": 3.7}, {"a": 3, "b": 4}]})",
   };
   for (const char* text : bad) {
     auto spec = TopologySpec::from_json(parse_json(text));
@@ -425,6 +436,11 @@ TEST(TopologySpecValidation, ParseNodeResolvesNamesAndIds) {
   EXPECT_EQ(*by_id, spec.gateway());
   EXPECT_FALSE(spec.parse_node(util::Json("ctrl_c")).ok());  // only 2 ctrls
   EXPECT_FALSE(spec.parse_node(util::Json(static_cast<std::int64_t>(99))).ok());
+  // A fractional id names no node; it does not truncate to node 3.
+  ASSERT_TRUE(spec.parse_node(util::Json(3.0)).ok());
+  const auto fraction = spec.parse_node(util::Json(3.7));
+  ASSERT_FALSE(fraction.ok());
+  EXPECT_NE(fraction.status().message().find("not an integer"), std::string::npos);
 }
 
 }  // namespace

@@ -65,7 +65,7 @@ struct WorkcellEvmFixture : ::testing::Test {
       nodes[id] = std::make_unique<Node>(sim, medium, schedule, sync, config);
       schedule.assign_tx(slot++, id);
       services[id] = std::make_unique<EvmService>(
-          *nodes[id], vc, FailoverPolicy{1, util::Duration::seconds(30)});
+          *nodes[id], vc, FailoverPolicy{util::Duration::seconds(30)});
     }
     schedule.assign_tx(slot++, 1);
 
