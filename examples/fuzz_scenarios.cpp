@@ -34,9 +34,6 @@ int usage(const char* argv0) {
       << "  --no-shrink      keep failing specs as generated\n"
       << "  --no-determinism skip the replay (determinism) pass\n"
       << "  --horizon-s H    cap the generated horizon at H seconds\n"
-      << "  --max-events M   cap the fault-schedule length (default 10)\n"
-      << "  --max-gap-s G    liveness bound: longest tolerated no-Active span\n"
-      << "  --max-dev-pct D  safety bound: largest tolerated level deviation\n"
       << "  --out DIR        report directory (default $EVM_BENCH_OUT or bench/out);\n"
       << "                   repros land in DIR/fuzz_failures\n"
       << "  --replay FILE    re-run one repro (or bare spec) and report violations\n";
@@ -51,27 +48,16 @@ void print_violations(const std::vector<scenario::InvariantViolation>& violation
   }
 }
 
-struct ReplayOverrides {
-  bool max_gap = false;   // --max-gap-s given on the command line
-  bool max_dev = false;   // --max-dev-pct given on the command line
-};
-
-int replay(const std::string& path, const scenario::FuzzConfig& config,
-           const ReplayOverrides& overrides) {
+int replay(const std::string& path, bool check_determinism) {
   auto repro = scenario::load_repro(path);
   if (!repro) {
     std::cerr << "error: " << repro.status().to_string() << "\n";
     return 2;
   }
-  // Check under the bounds the repro was found with; explicit CLI flags
-  // still win so a repro can be probed against tighter/looser bounds.
-  scenario::InvariantConfig invariants = repro->invariants;
-  if (overrides.max_gap) invariants.max_active_gap_s = config.invariants.max_active_gap_s;
-  if (overrides.max_dev) invariants.max_level_dev_pct = config.invariants.max_level_dev_pct;
   std::cout << "replaying '" << repro->spec.name << "' with seed "
             << repro->seed << "\n";
   const scenario::CheckedRun check = scenario::check_scenario(
-      repro->spec, repro->seed, invariants, config.check_determinism);
+      repro->spec, repro->seed, {}, check_determinism);
   if (check.ok()) {
     std::cout << "no invariant violations (" << check.metrics.failover_count
               << " failovers, level rmse " << check.metrics.level_rmse_pct
@@ -89,7 +75,6 @@ int main(int argc, char** argv) {
   scenario::FuzzConfig config;
   std::string out_dir = scenario::report_dir();
   std::string replay_path;
-  ReplayOverrides overrides;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -97,30 +82,19 @@ int main(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     std::uint64_t value = 0;
-    if (arg == "--runs" || arg == "--seed" || arg == "--jobs" ||
-        arg == "--max-events") {
+    if (arg == "--runs" || arg == "--seed" || arg == "--jobs") {
       const char* v = next();
       if (v == nullptr || !parse_u64(v, value)) return usage(argv[0]);
       if (arg == "--runs") config.runs = static_cast<std::size_t>(value);
       else if (arg == "--seed") config.seed = value;
-      else if (arg == "--jobs") config.jobs = static_cast<std::size_t>(value);
-      else config.gen.max_events = static_cast<std::size_t>(value);
-    } else if (arg == "--horizon-s" || arg == "--max-gap-s" ||
-               arg == "--max-dev-pct") {
+      else config.jobs = static_cast<std::size_t>(value);
+    } else if (arg == "--horizon-s") {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
       const double d = std::atof(v);
       if (d <= 0.0) return usage(argv[0]);
-      if (arg == "--horizon-s") {
-        config.gen.max_horizon_s = d;
-        if (config.gen.min_horizon_s > d) config.gen.min_horizon_s = d;
-      } else if (arg == "--max-gap-s") {
-        config.invariants.max_active_gap_s = d;
-        overrides.max_gap = true;
-      } else {
-        config.invariants.max_level_dev_pct = d;
-        overrides.max_dev = true;
-      }
+      config.gen.max_horizon_s = d;
+      if (config.gen.min_horizon_s > d) config.gen.min_horizon_s = d;
     } else if (arg == "--no-shrink") {
       config.shrink = false;
     } else if (arg == "--no-determinism") {
@@ -138,7 +112,7 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
   }
-  if (!replay_path.empty()) return replay(replay_path, config, overrides);
+  if (!replay_path.empty()) return replay(replay_path, config.check_determinism);
   if (config.runs == 0) return usage(argv[0]);
 
   std::cout << "=== fuzz: " << config.runs << " generated scenarios, seed "

@@ -32,6 +32,15 @@ constexpr double kMaxTestbedLoss = 0.15;
 /// after the first disturbance) lands at most this long after the crash.
 constexpr double kMaxRestartGapS = 8.0;
 constexpr double kChurnProbability = 0.3;
+/// Cap on primary fault events per generated spec (paired follow-ups such
+/// as restarts and clears come on top).
+constexpr std::size_t kMaxEvents = 10;
+/// Budget of extra runs the shrinker may spend per failure.
+constexpr std::size_t kMaxShrinkRuns = 200;
+/// Run seeds are masked to 48 bits so they survive the JSON number
+/// round-trip exactly (the writer prints integers verbatim only below 1e15)
+/// and repros replay the very same seed.
+constexpr std::uint64_t kRunSeedMask = (1ULL << 48) - 1;
 /// Probability of running in a randomized multi-hop world (line / grid /
 /// star with relay nodes between sensor and controllers) instead of the
 /// Fig. 5 mesh. The control period scales with the world's TDMA frame.
@@ -75,9 +84,9 @@ double q6(double v) { return std::round(v * 1e6) / 1e6; }
 /// shrinker is trying to preserve. Determinism violations need the replay
 /// pass switched on to reproduce; everything else runs single-pass.
 bool reproduces(const ScenarioSpec& candidate, std::uint64_t seed,
-                const InvariantConfig& config, const std::string& primary) {
+                const std::string& primary) {
   const bool determinism = primary == "determinism.replay";
-  const CheckedRun check = check_scenario(candidate, seed, config, determinism);
+  const CheckedRun check = check_scenario(candidate, seed, {}, determinism);
   for (const auto& v : check.violations) {
     if (v.invariant == primary) return true;
   }
@@ -90,7 +99,6 @@ Json GeneratorConfig::to_json() const {
   Json j = Json::object();
   j.set("min_horizon_s", min_horizon_s);
   j.set("max_horizon_s", max_horizon_s);
-  j.set("max_events", max_events);
   return j;
 }
 
@@ -199,7 +207,7 @@ ScenarioSpec generate_spec(std::uint64_t run_seed, const GeneratorConfig& config
   // at most ~12 s later; with the default horizons the [5, horizon - 15]
   // window keeps both inside the horizon and leaves the tail for recovery
   // (the final clamp below covers operator-shortened horizons).
-  const std::size_t count = rng.next_below(config.max_events + 1);
+  const std::size_t count = rng.next_below(kMaxEvents + 1);
   std::vector<double> times(count);
   const double lo = 5.0;
   const double hi = std::max(lo + 1.0, spec.horizon_s - 15.0);
@@ -332,17 +340,16 @@ ScenarioSpec generate_spec(std::uint64_t run_seed, const GeneratorConfig& config
 }
 
 ScenarioSpec shrink_spec(const ScenarioSpec& spec, std::uint64_t seed,
-                         const InvariantConfig& config,
                          const std::string& primary_invariant,
-                         std::size_t max_runs, std::size_t* runs_used) {
+                         std::size_t* runs_used) {
   ScenarioSpec best = spec;
   std::size_t used = 0;
   bool improved = true;
 
   auto try_candidate = [&](ScenarioSpec candidate) {
-    if (used >= max_runs) return;
+    if (used >= kMaxShrinkRuns) return;
     ++used;
-    if (!reproduces(candidate, seed, config, primary_invariant)) return;
+    if (!reproduces(candidate, seed, primary_invariant)) return;
     best = std::move(candidate);
     improved = true;
   };
@@ -373,9 +380,9 @@ ScenarioSpec shrink_spec(const ScenarioSpec& spec, std::uint64_t seed,
 
   // Greedy passes to a fixpoint (or the run budget): drop single events,
   // then the spec-level disturbances, then tighten the horizon.
-  while (improved && used < max_runs) {
+  while (improved && used < kMaxShrinkRuns) {
     improved = false;
-    for (std::size_t i = best.events.size(); i-- > 0 && used < max_runs;) {
+    for (std::size_t i = best.events.size(); i-- > 0 && used < kMaxShrinkRuns;) {
       if (best.events[i].kind == EventKind::kNodeRestart &&
           crash_remains(best.events, i)) {
         continue;  // never orphan a crash; its pair goes when the crash goes
@@ -434,11 +441,7 @@ FuzzResult run_fuzz(const FuzzConfig& config) {
   std::vector<std::optional<FuzzFailure>> slots(config.runs);
 
   parallel_for(config.runs, config.jobs, [&](std::size_t i) {
-    // Per-run stream seed, masked to 48 bits so it survives the JSON
-    // number round-trip exactly (the writer prints integers verbatim only
-    // below 1e15) and repros replay the very same seed.
-    const std::uint64_t run_seed =
-        Rng::mix(config.seed, i) & ((1ULL << 48) - 1);
+    const std::uint64_t run_seed = Rng::mix(config.seed, i) & kRunSeedMask;
     const ScenarioSpec spec = generate_spec(run_seed, config.gen);
 
     // Generator self-check: whatever we emit must survive its own
@@ -449,8 +452,7 @@ FuzzResult run_fuzz(const FuzzConfig& config) {
       check.violations.push_back({"generator.invalid_spec", -1.0,
                                   reparsed.status().message()});
     } else {
-      check = check_scenario(spec, run_seed, config.invariants,
-                             config.check_determinism);
+      check = check_scenario(spec, run_seed, {}, config.check_determinism);
     }
     if (check.ok()) return;
 
@@ -461,14 +463,11 @@ FuzzResult run_fuzz(const FuzzConfig& config) {
     failure.shrunk = spec;
     failure.violations = check.violations;
     failure.metrics = check.metrics;
-    failure.invariants = config.invariants;
     if (config.shrink && reparsed.ok()) {
       const std::string primary = check.violations.front().invariant;
-      failure.shrunk = shrink_spec(spec, run_seed, config.invariants, primary,
-                                   config.max_shrink_runs, &failure.shrink_runs);
+      failure.shrunk = shrink_spec(spec, run_seed, primary, &failure.shrink_runs);
       const CheckedRun recheck =
-          check_scenario(failure.shrunk, run_seed, config.invariants,
-                         config.check_determinism);
+          check_scenario(failure.shrunk, run_seed, {}, config.check_determinism);
       failure.violations = recheck.violations;
       failure.metrics = recheck.metrics;
     }
@@ -490,7 +489,6 @@ Json FuzzFailure::to_json() const {
   for (const auto& v : violations) list.push(v.to_json());
   j.set("violations", std::move(list));
   j.set("metrics", metrics.to_json());
-  j.set("invariants", invariants.to_json());
   j.set("shrink_runs", shrink_runs);
   j.set("spec", shrunk.to_json());
   j.set("original_spec", spec.to_json());
@@ -508,9 +506,7 @@ Json fuzz_report(const FuzzConfig& config, const FuzzResult& result) {
   cfg.set("runs", config.runs);
   cfg.set("shrink", config.shrink);
   cfg.set("check_determinism", config.check_determinism);
-  cfg.set("max_shrink_runs", config.max_shrink_runs);
   cfg.set("generator", config.gen.to_json());
-  cfg.set("invariants", config.invariants.to_json());
   root.set("config", std::move(cfg));
   root.set("runs", result.runs);
   root.set("failure_count", result.failures.size());
@@ -556,16 +552,29 @@ util::Result<FuzzRepro> load_repro(const std::string& path) {
     repro.spec = *spec;
     return repro;
   }
+  // The keys FuzzFailure::to_json writes. Bounds are fixed constants, so a
+  // document that still carries an "invariants" block is refused rather
+  // than replayed under bounds it does not state.
+  if (util::Status s = util::check_keys(*json,
+                                        "schema run_index run_seed violations "
+                                        "metrics shrink_runs spec original_spec",
+                                        "the repro");
+      !s) {
+    return util::Status::invalid_argument(path + ": " + s.message());
+  }
   auto spec = ScenarioSpec::from_json(*spec_json);
   if (!spec) {
     return util::Status::invalid_argument(path + ": " + spec.status().message());
   }
   repro.spec = *spec;
   if (const Json* seed = json->find("run_seed")) {
-    repro.seed = static_cast<std::uint64_t>(seed->as_int());
-  }
-  if (const Json* invariants = json->find("invariants")) {
-    repro.invariants = InvariantConfig::from_json(*invariants);
+    const auto value = util::as_integer(
+        *seed, 0, static_cast<std::int64_t>(kRunSeedMask));
+    if (!value) {
+      return util::Status::invalid_argument(
+          path + ": 'run_seed' must be an integer in [0, 2^48)");
+    }
+    repro.seed = static_cast<std::uint64_t>(*value);
   }
   return repro;
 }

@@ -25,12 +25,11 @@
 
 namespace evm::scenario {
 
-/// The size of what the generator emits: horizon and event count. (The
-/// caps on loss and downtime are fixed validity rules in fuzz.cpp.)
+/// The horizon range the generator draws from. (The event-count cap and
+/// the caps on loss and downtime are fixed validity rules in fuzz.cpp.)
 struct GeneratorConfig {
   double min_horizon_s = 45.0;
   double max_horizon_s = 75.0;
-  std::size_t max_events = 10;
 
   util::Json to_json() const;
 };
@@ -47,10 +46,7 @@ struct FuzzConfig {
   bool shrink = true;
   /// Replay every run and flag metric divergence (doubles the work).
   bool check_determinism = true;
-  /// Budget of extra runs the shrinker may spend per failure.
-  std::size_t max_shrink_runs = 200;
   GeneratorConfig gen;
-  InvariantConfig invariants;
 };
 
 struct FuzzFailure {
@@ -66,13 +62,9 @@ struct FuzzFailure {
   /// so a replayed repro can be diffed field-for-field against what the
   /// campaign saw when it failed.
   RunMetrics metrics;
-  /// The bounds the violation was found under; embedded in the repro so a
-  /// replay checks the same properties, not the defaults.
-  InvariantConfig invariants;
 
-  /// Full repro document: violations + invariant bounds + shrunk spec
-  /// (under "spec") + original spec, replayable via load_repro /
-  /// fuzz_scenarios --replay.
+  /// Full repro document: violations + shrunk spec (under "spec") +
+  /// original spec, replayable via load_repro / fuzz_scenarios --replay.
   util::Json to_json() const;
 };
 
@@ -89,12 +81,11 @@ FuzzResult run_fuzz(const FuzzConfig& config);
 util::Json fuzz_report(const FuzzConfig& config, const FuzzResult& result);
 
 /// Greedily minimize `spec` while `primary_invariant` still fires for
-/// (spec, seed): drop events, disable churn, zero background loss, tighten
-/// the horizon. Spends at most `max_runs` extra runs.
+/// (spec, seed) under the default InvariantConfig: drop events, disable
+/// churn, zero background loss, tighten the horizon. Spends at most 200
+/// extra runs.
 ScenarioSpec shrink_spec(const ScenarioSpec& spec, std::uint64_t seed,
-                         const InvariantConfig& config,
                          const std::string& primary_invariant,
-                         std::size_t max_runs,
                          std::size_t* runs_used = nullptr);
 
 /// Directory minimized repros land in: <report_dir()>/fuzz_failures.
@@ -104,16 +95,16 @@ std::string failure_dir();
 util::Result<std::string> write_failure(const FuzzFailure& failure,
                                         const std::string& dir = failure_dir());
 
-/// A repro loaded back for replay: the (spec, seed) pair to re-run and the
-/// invariant bounds it was found under (defaults for bare spec files).
+/// A repro loaded back for replay: the (spec, seed) pair to re-run.
 struct FuzzRepro {
   ScenarioSpec spec;
   std::uint64_t seed = 1;
-  InvariantConfig invariants;
 };
 
 /// Load a repro document written by write_failure. A bare ScenarioSpec file
 /// is also accepted (seed defaults to 1), so promoted scenarios replay too.
+/// Keys write_failure does not write are rejected, and `run_seed` must be an
+/// integer in [0, 2^48).
 util::Result<FuzzRepro> load_repro(const std::string& path);
 
 }  // namespace evm::scenario

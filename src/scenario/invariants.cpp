@@ -20,32 +20,6 @@ std::string fmt(double value) {
 
 }  // namespace
 
-Json InvariantConfig::to_json() const {
-  Json j = Json::object();
-  j.set("probe_period_s", probe_period_s);
-  j.set("max_active_gap_s", max_active_gap_s);
-  j.set("max_level_dev_pct", max_level_dev_pct);
-  j.set("require_active_at_end", require_active_at_end);
-  return j;
-}
-
-InvariantConfig InvariantConfig::from_json(const Json& json) {
-  InvariantConfig config;
-  if (const Json* v = json.find("probe_period_s")) {
-    config.probe_period_s = v->as_double(config.probe_period_s);
-  }
-  if (const Json* v = json.find("max_active_gap_s")) {
-    config.max_active_gap_s = v->as_double(config.max_active_gap_s);
-  }
-  if (const Json* v = json.find("max_level_dev_pct")) {
-    config.max_level_dev_pct = v->as_double(config.max_level_dev_pct);
-  }
-  if (const Json* v = json.find("require_active_at_end")) {
-    config.require_active_at_end = v->as_bool(config.require_active_at_end);
-  }
-  return config;
-}
-
 Json InvariantViolation::to_json() const {
   Json j = Json::object();
   j.set("invariant", invariant);
@@ -74,25 +48,22 @@ bool InvariantMonitor::fault_free() const {
 
 void InvariantMonitor::on_probe(double t_s, const ProbeSample& sample) {
   ++checks_performed_;
-  // Liveness is derived from the VC membership when the probe carries
-  // per-replica states: only nodes in the spec topology's replica set may
-  // satisfy it, and a node outside that set claiming Active is a role-table
-  // breach (e.g. a mode command leaked to a non-member).
-  bool any_live_active = sample.any_live_active;
-  if (!sample.replicas.empty()) {
-    any_live_active = false;
-    for (const ReplicaProbe& replica : sample.replicas) {
-      const bool member = std::find(replicas_.begin(), replicas_.end(),
-                                    replica.node) != replicas_.end();
-      if (!member) {
-        add("sanity.nonmember_replica", t_s,
-            "node " + std::to_string(replica.node) +
-                " probed as a replica but is outside the VC membership");
-        continue;
-      }
-      if (replica.alive && replica.mode == core::ControllerMode::kActive) {
-        any_live_active = true;
-      }
+  // Liveness is derived from the VC membership: only nodes in the spec
+  // topology's replica set may satisfy it, and a node outside that set
+  // claiming Active is a role-table breach (e.g. a mode command leaked to a
+  // non-member).
+  bool any_live_active = false;
+  for (const ReplicaProbe& replica : sample.replicas) {
+    const bool member = std::find(replicas_.begin(), replicas_.end(),
+                                  replica.node) != replicas_.end();
+    if (!member) {
+      add("sanity.nonmember_replica", t_s,
+          "node " + std::to_string(replica.node) +
+              " probed as a replica but is outside the VC membership");
+      continue;
+    }
+    if (replica.alive && replica.mode == core::ControllerMode::kActive) {
+      any_live_active = true;
     }
   }
 
@@ -120,15 +91,15 @@ void InvariantMonitor::on_probe(double t_s, const ProbeSample& sample) {
   // starts with the primary Active, so t=0 is the initial reference point.
   const double gap = t_s - last_active_s_;
   if (gap > max_gap_s_) max_gap_s_ = gap;
-  if (!any_live_active && gap > config_.max_active_gap_s) {
+  if (!any_live_active && gap > kMaxActiveGapS) {
     add("liveness.active_gap", t_s,
         "no live Active replica for " + fmt(gap) + " s (bound " +
-            fmt(config_.max_active_gap_s) + " s)");
+            fmt(kMaxActiveGapS) + " s)");
   }
   if (any_live_active) last_active_s_ = t_s;
 
   last_sample_ = sample;
-  last_sample_.any_live_active = any_live_active;
+  last_live_active_ = any_live_active;
   last_probe_s_ = t_s;
   probed_ = true;
 }
@@ -136,11 +107,11 @@ void InvariantMonitor::on_probe(double t_s, const ProbeSample& sample) {
 void InvariantMonitor::on_level(double t_s, double level_pct) {
   ++checks_performed_;
   const double dev = std::fabs(level_pct - testbed::kLevelSetpoint);
-  if (dev > config_.max_level_dev_pct) {
+  if (dev > kMaxLevelDevPct) {
     add("safety.level_deviation", t_s,
         "level " + fmt(level_pct) + " % deviates " + fmt(dev) +
             " % from the " + fmt(testbed::kLevelSetpoint) +
-            " % setpoint (bound " + fmt(config_.max_level_dev_pct) + " %)");
+            " % setpoint (bound " + fmt(kMaxLevelDevPct) + " %)");
   }
 }
 
@@ -155,22 +126,22 @@ void InvariantMonitor::on_finish(const RunMetrics& metrics) {
     // A gap still open when the run ends counts in full.
     const double end_gap = last_probe_s_ - last_active_s_;
     if (end_gap > max_gap_s_) max_gap_s_ = end_gap;
-    if (end_gap > config_.max_active_gap_s) {
+    if (end_gap > kMaxActiveGapS) {
       add("liveness.active_gap", last_probe_s_,
           "no live Active replica for the final " + fmt(end_gap) +
-              " s (bound " + fmt(config_.max_active_gap_s) + " s)");
+              " s (bound " + fmt(kMaxActiveGapS) + " s)");
     }
-    if (config_.require_active_at_end && !last_sample_.any_live_active) {
+    if (config_.require_active_at_end && !last_live_active_) {
       add("liveness.active_at_end", last_probe_s_,
           "no live Active replica at run end (ctrl_a " + metrics.ctrl_a_mode +
               ", ctrl_b " + metrics.ctrl_b_mode + ")");
     }
   }
 
-  if (metrics.level_max_dev_pct > config_.max_level_dev_pct) {
+  if (metrics.level_max_dev_pct > kMaxLevelDevPct) {
     add("safety.level_deviation", -1.0,
         "worst level excursion " + fmt(metrics.level_max_dev_pct) +
-            " % exceeds the " + fmt(config_.max_level_dev_pct) + " % bound");
+            " % exceeds the " + fmt(kMaxLevelDevPct) + " % bound");
   }
 
   if (metrics.missed_deadlines > metrics.task_releases) {

@@ -18,24 +18,20 @@
 
 namespace evm::scenario {
 
+/// Liveness probe cadence (virtual seconds between samples).
+inline constexpr double kProbePeriodS = 0.5;
+/// Longest tolerated span with no live Active replica. Covers crash
+/// detection + backup promotion; generated specs keep forced gaps (crash of
+/// the last live controller until its scheduled restart) well under it.
+inline constexpr double kMaxActiveGapS = 25.0;
+/// Safety bound: |level - setpoint| above this means the plant escaped
+/// regulation (level is a percentage, so 40 around a 50 % setpoint spans
+/// nearly the whole vessel).
+inline constexpr double kMaxLevelDevPct = 40.0;
+
 struct InvariantConfig {
-  /// Liveness probe cadence (virtual seconds between samples).
-  double probe_period_s = 0.5;
-  /// Longest tolerated span with no live Active replica. Covers crash
-  /// detection + backup promotion; generated specs keep forced gaps (crash
-  /// of the last live controller until its scheduled restart) well under it.
-  double max_active_gap_s = 25.0;
-  /// Safety bound: |level - setpoint| above this means the plant escaped
-  /// regulation (level is a percentage, so 40 around a 50 % setpoint spans
-  /// nearly the whole vessel).
-  double max_level_dev_pct = 40.0;
   /// Require a live Active replica when the run ends.
   bool require_active_at_end = true;
-
-  util::Json to_json() const;
-  /// Inverse of to_json: absent keys keep their defaults (repro documents
-  /// written under custom bounds restore those bounds on replay).
-  static InvariantConfig from_json(const util::Json& json);
 };
 
 /// One violated property. `invariant` is a stable dotted id (e.g.
@@ -54,8 +50,6 @@ class InvariantMonitor {
   /// `spec` must outlive the monitor.
   InvariantMonitor(const ScenarioSpec& spec, InvariantConfig config = {});
 
-  const InvariantConfig& config() const { return config_; }
-
   /// Periodic liveness/counter probe, fed by ScenarioRunner.
   struct ReplicaProbe {
     net::NodeId node = net::kInvalidNode;
@@ -63,12 +57,10 @@ class InvariantMonitor {
     core::ControllerMode mode = core::ControllerMode::kDormant;
   };
   struct ProbeSample {
-    /// Per-replica states over the VC membership. When present, the monitor
-    /// derives liveness from them (a live Active replica must exist within
-    /// the replica set the spec's topology declares); the plain flag below
-    /// serves synthetic feeds without a full replica vector.
+    /// Per-replica states over the VC membership. The monitor derives
+    /// liveness from them: a live Active replica must exist within the
+    /// replica set the spec's topology declares.
     std::vector<ReplicaProbe> replicas;
-    bool any_live_active = false;  // a non-failed replica is Active
     std::size_t failover_count = 0;        // cumulative
     std::uint64_t missed_deadlines = 0;    // cumulative
     std::uint64_t task_releases = 0;       // cumulative
@@ -109,6 +101,7 @@ class InvariantMonitor {
   std::uint64_t checks_performed_ = 0;
   double last_active_s_ = 0.0;  // last probe time with a live Active replica
   double max_gap_s_ = 0.0;
+  bool last_live_active_ = false;  // the last probe saw a live Active replica
   ProbeSample last_sample_;
   double last_probe_s_ = 0.0;
 };

@@ -108,7 +108,7 @@ RunMetrics ScenarioRunner::run() {
           [this](const std::string& series, util::TimePoint t, double value) {
             if (series == kLevelVariable) monitor_->on_level(t.to_seconds(), value);
           });
-      const double first = std::min(monitor_->config().probe_period_s, spec_.horizon_s);
+      const double first = std::min(kProbePeriodS, spec_.horizon_s);
       testbed_->sim().schedule_at(at(first), [this] { probe_once(); });
     }
 
@@ -250,9 +250,6 @@ void ScenarioRunner::probe_once() {
     replica.node = id;
     replica.alive = !tb.node(id).failed();
     replica.mode = tb.service(id).mode(testbed::kLtsLevelLoop);
-    if (replica.alive && replica.mode == core::ControllerMode::kActive) {
-      sample.any_live_active = true;
-    }
     sample.replicas.push_back(replica);
   }
   for (net::NodeId id : topo.node_ids()) {
@@ -263,9 +260,8 @@ void ScenarioRunner::probe_once() {
   sample.task_releases = tasks.releases;
   const double now_s = tb.sim().now().to_seconds();
   monitor_->on_probe(now_s, sample);
-  const double period = monitor_->config().probe_period_s;
-  if (now_s + period <= spec_.horizon_s) {
-    tb.sim().schedule_after(util::Duration::from_seconds(period),
+  if (now_s + kProbePeriodS <= spec_.horizon_s) {
+    tb.sim().schedule_after(util::Duration::from_seconds(kProbePeriodS),
                             [this] { probe_once(); });
   }
 }

@@ -64,7 +64,7 @@ Result<net::NodeId> event_node(const Json& event, const char* field,
                                const testbed::TopologySpec& topo) {
   const Json* ref = event.find(field);
   if (ref == nullptr) return missing(field, kind);
-  auto node = parse_node(*ref, topo);
+  auto node = topo.parse_node(*ref);
   if (!node) {
     return Status::invalid_argument("event '" + std::string(kind) +
                                     "' field '" + field +
@@ -126,14 +126,6 @@ const char* to_string(EventKind kind) {
     if (entry.kind == kind) return entry.name;
   }
   return "unknown";
-}
-
-std::string node_name(net::NodeId id, const testbed::TopologySpec& topo) {
-  return topo.node_name(id);
-}
-
-Result<net::NodeId> parse_node(const Json& json, const testbed::TopologySpec& topo) {
-  return topo.parse_node(json);
 }
 
 util::Status ScenarioSpec::validate() const {
@@ -544,7 +536,7 @@ Json ScenarioSpec::to_json() const {
         break;
       case EventKind::kNodeCrash:
       case EventKind::kNodeRestart:
-        entry.set("node", node_name(e.node, topo));
+        entry.set("node", topo.node_name(e.node));
         break;
       case EventKind::kLinkDown:
       case EventKind::kLinkUp:
@@ -552,8 +544,8 @@ Json ScenarioSpec::to_json() const {
       case EventKind::kLinkLoss:
       case EventKind::kBurstLoss:
       case EventKind::kClearBurstLoss:
-        entry.set("a", node_name(e.a, topo));
-        entry.set("b", node_name(e.b, topo));
+        entry.set("a", topo.node_name(e.a));
+        entry.set("b", topo.node_name(e.b));
         if (e.kind == EventKind::kLinkOutage) entry.set("duration_s", e.duration_s);
         if (e.kind == EventKind::kLinkLoss) entry.set("loss", e.value);
         if (e.kind == EventKind::kBurstLoss) {
@@ -564,11 +556,11 @@ Json ScenarioSpec::to_json() const {
         }
         break;
       case EventKind::kClockDrift:
-        entry.set("node", node_name(e.node, topo));
+        entry.set("node", topo.node_name(e.node));
         entry.set("ppm", e.value);
         break;
       case EventKind::kTrafficBurst:
-        entry.set("node", node_name(e.node, topo));
+        entry.set("node", topo.node_name(e.node));
         entry.set("count", e.count);
         entry.set("interval_ms", e.interval_ms);
         break;

@@ -107,11 +107,4 @@ struct ScenarioSpec {
   std::string content_hash() const;
 };
 
-/// Resolve a node reference — a role-table name (for the default Fig. 5
-/// world: "gateway", "sensor", "ctrl_a", "ctrl_b", "ctrl_c", "actuator") or
-/// a numeric id — against the scenario's topology.
-util::Result<net::NodeId> parse_node(const util::Json& json,
-                                     const testbed::TopologySpec& topo);
-std::string node_name(net::NodeId id, const testbed::TopologySpec& topo);
-
 }  // namespace evm::scenario

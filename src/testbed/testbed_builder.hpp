@@ -43,15 +43,6 @@ struct GasPlantTestbedConfig {
   util::Duration head_beacon_period = util::Duration::seconds(1);
   /// Broadcast dissemination scheme (see DisseminationMode).
   DisseminationMode dissemination = DisseminationMode::kAuto;
-  plant::GasPlantConfig plant = [] {
-    plant::GasPlantConfig c;
-    // Small holdup so a mis-set valve drains the separator on the few-
-    // hundred-second timescale of the paper's Fig. 6(b); valve coefficient
-    // chosen so the steady opening lands at the paper's 11.48 %.
-    c.lts.holdup_capacity_kmol = 30.0;
-    c.lts.valve_cv = 433.6;
-    return c;
-  }();
 };
 
 inline constexpr core::FunctionId kLtsLevelLoop = 1;

@@ -108,8 +108,8 @@ struct TopologySpec {
 
   /// Longest shortest-path hop count between any node pair; -1 when the
   /// graph is disconnected. 1 on the Fig. 5 full mesh. An all-pairs BFS,
-  /// O(N * (N + E)): TestbedBuilder calls it once per build for the router
-  /// TTL, and everything else asks multi_hop() instead.
+  /// O(N * (N + E)), so no build or run calls it: they ask multi_hop()
+  /// instead. Tests and perfbench's testbed.diameter span still do.
   int diameter() const;
   /// diameter() > 1 in O(N + E): connected, but not every node links to
   /// every other. False on a disconnected spec, as diameter() is -1 there.

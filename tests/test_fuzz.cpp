@@ -192,14 +192,12 @@ TEST(FuzzShrink, HandSeededViolationShrinksToMinimalRepro) {
       {"at_s": 30, "do": "link_outage", "a": "sensor", "b": "gateway", "duration_s": 2}
     ]
   })");
-  const InvariantConfig invariants;
   const CheckedRun original = check_scenario(spec, 5);
   ASSERT_FALSE(original.ok());
   const std::string primary = original.violations.front().invariant;
 
   std::size_t used = 0;
-  const ScenarioSpec shrunk =
-      shrink_spec(spec, 5, invariants, primary, 200, &used);
+  const ScenarioSpec shrunk = shrink_spec(spec, 5, primary, &used);
   EXPECT_GT(used, 0u);
   EXPECT_LE(used, 200u);
 
@@ -236,11 +234,6 @@ TEST(FuzzRepro, WriteAndLoadRoundTrip) {
   })");
   failure.shrunk = failure.spec;
   failure.violations.push_back({"liveness.active_at_end", 49.5, "test detail"});
-  // Custom bounds must travel with the repro, or a replay would check the
-  // defaults and silently pass.
-  failure.invariants.max_active_gap_s = 10.0;
-  failure.invariants.max_level_dev_pct = 15.0;
-  failure.invariants.require_active_at_end = false;
 
   const std::string dir = ::testing::TempDir() + "evm_fuzz_repro_test";
   auto written = write_failure(failure, dir);
@@ -251,10 +244,53 @@ TEST(FuzzRepro, WriteAndLoadRoundTrip) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
   EXPECT_EQ(loaded->seed, 123456789u);
   EXPECT_EQ(loaded->spec.to_json().dump(), failure.shrunk.to_json().dump());
-  EXPECT_DOUBLE_EQ(loaded->invariants.max_active_gap_s, 10.0);
-  EXPECT_DOUBLE_EQ(loaded->invariants.max_level_dev_pct, 15.0);
-  EXPECT_FALSE(loaded->invariants.require_active_at_end);
   std::remove(written->c_str());
+}
+
+/// Write a repro document whose `key` is replaced by the raw JSON `value`
+/// and load it back.
+util::Result<FuzzRepro> load_edited_repro(const std::string& key,
+                                          const std::string& value) {
+  FuzzFailure failure;
+  failure.run_seed = 5;
+  failure.spec = parse_spec(R"({"name": "edited", "horizon_s": 30})");
+  failure.shrunk = failure.spec;
+  util::Json doc = failure.to_json();
+  auto parsed = util::Json::parse(value);
+  EXPECT_TRUE(parsed.ok()) << value;
+  doc.set(key, *parsed);
+  const std::string path = ::testing::TempDir() + "evm_fuzz_edited_repro.json";
+  {
+    std::ofstream out(path);
+    out << doc.dump();
+  }
+  auto loaded = load_repro(path);
+  std::remove(path.c_str());
+  return loaded;
+}
+
+TEST(FuzzRepro, RunSeedMustBeAnExactInteger) {
+  auto ok = load_edited_repro("run_seed", "7");
+  ASSERT_TRUE(ok.ok()) << ok.status().to_string();
+  EXPECT_EQ(ok->seed, 7u);
+  // Json::as_int would replay 7.9 as seed 7, -1 as 2^64 - 1 and "5" as 0.
+  for (const char* bad : {"7.9", "-1", "\"5\"", "281474976710656"}) {
+    auto loaded = load_edited_repro("run_seed", bad);
+    ASSERT_FALSE(loaded.ok()) << bad;
+    EXPECT_NE(loaded.status().message().find("run_seed"), std::string::npos)
+        << loaded.status().to_string();
+  }
+}
+
+TEST(FuzzRepro, UnknownKeyIsRejected) {
+  // Repros written before the bounds became constants carry an
+  // "invariants" block; replaying them under other bounds than they state
+  // would be silent, so the key is refused by name.
+  auto loaded = load_edited_repro("invariants", R"({"max_active_gap_s": 10})");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("unknown key 'invariants'"),
+            std::string::npos)
+      << loaded.status().to_string();
 }
 
 TEST(FuzzRepro, BareSpecLoadsWithDefaultSeed) {

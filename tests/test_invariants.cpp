@@ -36,9 +36,15 @@ RunMetrics ok_metrics() {
   return m;
 }
 
-InvariantMonitor::ProbeSample probe(bool active) {
+/// One live replica — the spec's first in priority order — that is Active
+/// or Backup.
+InvariantMonitor::ProbeSample probe(const ScenarioSpec& spec, bool active) {
   InvariantMonitor::ProbeSample s;
-  s.any_live_active = active;
+  InvariantMonitor::ReplicaProbe replica;
+  replica.node = spec.topology().replica_order().front();
+  replica.alive = true;
+  replica.mode = active ? core::ControllerMode::kActive : core::ControllerMode::kBackup;
+  s.replicas.push_back(replica);
   return s;
 }
 
@@ -49,28 +55,28 @@ bool has_violation(const InvariantMonitor& monitor, const std::string& id) {
   return false;
 }
 
+// The feeds below run against the fixed bounds: kMaxActiveGapS (25 s) and
+// kMaxLevelDevPct (40 %).
+
 TEST(InvariantMonitor, BoundedGapPasses) {
   const ScenarioSpec spec = spec_with_fault();
-  InvariantConfig config;
-  config.max_active_gap_s = 10.0;
-  InvariantMonitor monitor(spec, config);
-  // Active until 5 s, a 9.5 s hole, active again until the end.
-  for (double t = 0.5; t <= 5.0; t += 0.5) monitor.on_probe(t, probe(true));
-  for (double t = 5.5; t < 14.5; t += 0.5) monitor.on_probe(t, probe(false));
-  for (double t = 14.5; t <= 40.0; t += 0.5) monitor.on_probe(t, probe(true));
+  InvariantMonitor monitor(spec);
+  // Active until 5 s, a 24.5 s hole, active again until the end.
+  for (double t = 0.5; t <= 5.0; t += 0.5) monitor.on_probe(t, probe(spec, true));
+  for (double t = 5.5; t < 29.5; t += 0.5) monitor.on_probe(t, probe(spec, false));
+  for (double t = 29.5; t <= 60.0; t += 0.5) monitor.on_probe(t, probe(spec, true));
   monitor.on_finish(ok_metrics());
   EXPECT_TRUE(monitor.ok()) << monitor.to_json().dump();
-  EXPECT_NEAR(monitor.max_active_gap_s(), 9.5, 1e-9);
+  EXPECT_NEAR(monitor.max_active_gap_s(), kMaxActiveGapS - 0.5, 1e-9);
 }
 
 TEST(InvariantMonitor, ExcessiveGapIsViolation) {
   const ScenarioSpec spec = spec_with_fault();
-  InvariantConfig config;
-  config.max_active_gap_s = 10.0;
-  InvariantMonitor monitor(spec, config);
-  for (double t = 0.5; t <= 5.0; t += 0.5) monitor.on_probe(t, probe(true));
-  for (double t = 5.5; t <= 20.0; t += 0.5) monitor.on_probe(t, probe(false));
-  for (double t = 20.5; t <= 40.0; t += 0.5) monitor.on_probe(t, probe(true));
+  InvariantMonitor monitor(spec);
+  // Active until 5 s, then a 30.5 s hole.
+  for (double t = 0.5; t <= 5.0; t += 0.5) monitor.on_probe(t, probe(spec, true));
+  for (double t = 5.5; t <= 35.0; t += 0.5) monitor.on_probe(t, probe(spec, false));
+  for (double t = 35.5; t <= 60.0; t += 0.5) monitor.on_probe(t, probe(spec, true));
   monitor.on_finish(ok_metrics());
   EXPECT_TRUE(has_violation(monitor, "liveness.active_gap"));
   EXPECT_FALSE(has_violation(monitor, "liveness.active_at_end"));
@@ -78,13 +84,10 @@ TEST(InvariantMonitor, ExcessiveGapIsViolation) {
 
 TEST(InvariantMonitor, GapOpenAtRunEndCounts) {
   const ScenarioSpec spec = spec_with_fault();
-  InvariantConfig config;
-  config.max_active_gap_s = 10.0;
-  InvariantMonitor monitor(spec, config);
-  // Goes dark at 28 s and never recovers: the 12 s tail exceeds the bound
-  // even though no single probe-to-probe gap does.
-  for (double t = 0.5; t <= 28.0; t += 0.5) monitor.on_probe(t, probe(true));
-  for (double t = 28.5; t <= 40.0; t += 0.5) monitor.on_probe(t, probe(false));
+  InvariantMonitor monitor(spec);
+  // Goes dark at 28 s and never recovers: the 27 s tail exceeds the bound.
+  for (double t = 0.5; t <= 28.0; t += 0.5) monitor.on_probe(t, probe(spec, true));
+  for (double t = 28.5; t <= 55.0; t += 0.5) monitor.on_probe(t, probe(spec, false));
   monitor.on_finish(ok_metrics());
   EXPECT_TRUE(has_violation(monitor, "liveness.active_gap"));
   EXPECT_TRUE(has_violation(monitor, "liveness.active_at_end"));
@@ -93,22 +96,22 @@ TEST(InvariantMonitor, GapOpenAtRunEndCounts) {
 TEST(InvariantMonitor, ActiveAtEndNotRequiredWhenDisabled) {
   const ScenarioSpec spec = spec_with_fault();
   InvariantConfig config;
-  config.max_active_gap_s = 100.0;
   config.require_active_at_end = false;
   InvariantMonitor monitor(spec, config);
-  monitor.on_probe(39.5, probe(false));
+  // Dark for 20 s at the end: inside the gap bound, so only the end-of-run
+  // requirement could object.
+  monitor.on_probe(20.0, probe(spec, false));
   monitor.on_finish(ok_metrics());
   EXPECT_FALSE(has_violation(monitor, "liveness.active_at_end"));
+  EXPECT_TRUE(monitor.ok()) << monitor.to_json().dump();
 }
 
 TEST(InvariantMonitor, LevelDeviationIsViolationWithTimestamp) {
   const ScenarioSpec spec = spec_with_fault();  // setpoint 50
-  InvariantConfig config;
-  config.max_level_dev_pct = 20.0;
-  InvariantMonitor monitor(spec, config);
-  monitor.on_level(3.0, 55.0);
+  InvariantMonitor monitor(spec);
+  monitor.on_level(3.0, 85.0);  // |85 - 50| = 35 <= 40
   EXPECT_TRUE(monitor.ok());
-  monitor.on_level(7.0, 85.0);  // |85 - 50| = 35 > 20
+  monitor.on_level(7.0, 95.0);  // |95 - 50| = 45 > 40
   ASSERT_FALSE(monitor.ok());
   EXPECT_EQ(monitor.violations()[0].invariant, "safety.level_deviation");
   EXPECT_DOUBLE_EQ(monitor.violations()[0].at_s, 7.0);
@@ -116,12 +119,10 @@ TEST(InvariantMonitor, LevelDeviationIsViolationWithTimestamp) {
 
 TEST(InvariantMonitor, FirstOccurrencePerInvariantIsKept) {
   const ScenarioSpec spec = spec_with_fault();
-  InvariantConfig config;
-  config.max_level_dev_pct = 20.0;
-  InvariantMonitor monitor(spec, config);
-  monitor.on_level(7.0, 85.0);
-  monitor.on_level(8.0, 90.0);
-  monitor.on_level(9.0, 95.0);
+  InvariantMonitor monitor(spec);
+  monitor.on_level(7.0, 95.0);
+  monitor.on_level(8.0, 97.0);
+  monitor.on_level(9.0, 99.0);
   ASSERT_EQ(monitor.violations().size(), 1u);
   EXPECT_DOUBLE_EQ(monitor.violations()[0].at_s, 7.0);
 }
@@ -129,12 +130,12 @@ TEST(InvariantMonitor, FirstOccurrencePerInvariantIsKept) {
 TEST(InvariantMonitor, CounterRegressionIsViolation) {
   const ScenarioSpec spec = spec_with_fault();
   InvariantMonitor monitor(spec, {});
-  InvariantMonitor::ProbeSample a = probe(true);
+  InvariantMonitor::ProbeSample a = probe(spec, true);
   a.failover_count = 2;
   a.missed_deadlines = 10;
   a.task_releases = 50;
   monitor.on_probe(1.0, a);
-  InvariantMonitor::ProbeSample b = probe(true);
+  InvariantMonitor::ProbeSample b = probe(spec, true);
   b.failover_count = 1;  // ran backwards
   b.missed_deadlines = 10;
   b.task_releases = 60;
@@ -145,7 +146,7 @@ TEST(InvariantMonitor, CounterRegressionIsViolation) {
 TEST(InvariantMonitor, DeadlineExcessIsViolation) {
   const ScenarioSpec spec = spec_with_fault();
   InvariantMonitor monitor(spec, {});
-  monitor.on_probe(39.5, probe(true));
+  monitor.on_probe(39.5, probe(spec, true));
   RunMetrics m = ok_metrics();
   m.missed_deadlines = 200;
   m.task_releases = 100;
@@ -156,7 +157,7 @@ TEST(InvariantMonitor, DeadlineExcessIsViolation) {
 TEST(InvariantMonitor, FailoverWithoutFaultIsViolation) {
   const ScenarioSpec quiet = parse_spec(R"({"name": "inv-quiet", "horizon_s": 40})");
   InvariantMonitor monitor(quiet, {});
-  monitor.on_probe(39.5, probe(true));
+  monitor.on_probe(39.5, probe(quiet, true));
   RunMetrics m = ok_metrics();
   m.failover_count = 1;
   monitor.on_finish(m);
@@ -165,7 +166,7 @@ TEST(InvariantMonitor, FailoverWithoutFaultIsViolation) {
   // The same metrics under a spec that *does* inject a fault are fine.
   const ScenarioSpec faulted = spec_with_fault();
   InvariantMonitor monitor2(faulted, {});
-  monitor2.on_probe(39.5, probe(true));
+  monitor2.on_probe(39.5, probe(faulted, true));
   monitor2.on_finish(m);
   EXPECT_FALSE(has_violation(monitor2, "sanity.failover_without_fault"));
 }
@@ -178,7 +179,7 @@ TEST(InvariantMonitor, LossyTopologyIsNotFaultFree) {
     "topology": {"generator": "grid", "width": 3, "height": 3, "link_loss": 0.2}
   })");
   InvariantMonitor monitor(lossy, {});
-  monitor.on_probe(39.5, probe(true));
+  monitor.on_probe(39.5, probe(lossy, true));
   RunMetrics m = ok_metrics();
   m.failover_count = 1;
   monitor.on_finish(m);
@@ -188,7 +189,7 @@ TEST(InvariantMonitor, LossyTopologyIsNotFaultFree) {
 TEST(InvariantMonitor, FailedRunShortCircuitsToRunError) {
   const ScenarioSpec spec = spec_with_fault();
   InvariantMonitor monitor(spec, {});
-  monitor.on_probe(5.0, probe(false));
+  monitor.on_probe(5.0, probe(spec, false));
   RunMetrics m;
   m.ok = false;
   m.error = "admission rejected";
