@@ -10,7 +10,6 @@
 // only changes wall-clock time. Exit code 1 means at least one invariant
 // violation was found (repros are in <out>/fuzz_failures).
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -21,6 +20,7 @@
 #include "scenario/fuzz.hpp"
 
 using namespace evm;
+using evm::examples::parse_positive;
 using evm::examples::parse_u64;
 
 namespace {
@@ -89,10 +89,9 @@ int main(int argc, char** argv) {
       else if (arg == "--seed") config.seed = value;
       else config.jobs = static_cast<std::size_t>(value);
     } else if (arg == "--horizon-s") {
+      double d = 0.0;
       const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      const double d = std::atof(v);
-      if (d <= 0.0) return usage(argv[0]);
+      if (v == nullptr || !parse_positive(v, d)) return usage(argv[0]);
       config.gen.max_horizon_s = d;
       if (config.gen.min_horizon_s > d) config.gen.min_horizon_s = d;
     } else if (arg == "--no-shrink") {

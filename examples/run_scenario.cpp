@@ -8,9 +8,6 @@
 // changes wall-clock time.
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -27,6 +24,7 @@
 #include "util/log.hpp"
 
 using namespace evm;
+using evm::examples::parse_positive;
 using evm::examples::parse_u64;
 
 namespace {
@@ -34,7 +32,7 @@ namespace {
 int usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0 << " <spec.json> [options]\n"
-      << "       " << argv0 << " --merge <report.json|dir|manifest.json>... [--out DIR]\n"
+      << "       " << argv0 << " --merge <report.json>... [--out DIR]\n"
       << "  --seeds N        seeds to run (default 1)\n"
       << "  --jobs J         worker threads (default min(seeds, cores))\n"
       << "  --base-seed S    first seed (default 1)\n"
@@ -61,10 +59,7 @@ int usage(const char* argv0) {
       << "  --metrics        print the base seed's deterministic metrics\n"
       << "                   snapshot (counters/gauges/histograms) as JSON\n"
       << "  --progress       per-run heartbeat on stderr (seed, done/total,\n"
-      << "                   wall-clock) while the campaign runs\n"
-      << "  --merge inputs may be shard report files, directories (every\n"
-      << "                   *.json inside, sorted), or a manifest: a JSON\n"
-      << "                   array of report paths, relative to the manifest\n";
+      << "                   wall-clock) while the campaign runs\n";
   return 2;
 }
 
@@ -136,61 +131,9 @@ int apply_baseline_flags(const util::Json& report, const std::string& name,
   return 0;
 }
 
-/// Expand one --merge input into report file paths: a directory yields every
-/// *.json inside it (sorted), a JSON-array file is a manifest of report
-/// paths (relative paths resolve against the manifest's directory), and
-/// anything else is a report file itself.
-util::Result<std::vector<std::string>> expand_merge_input(const std::string& input) {
-  namespace fs = std::filesystem;
-  std::vector<std::string> out;
-  std::error_code ec;
-  if (fs::is_directory(input, ec)) {
-    for (fs::directory_iterator it(input, ec), end; !ec && it != end;
-         it.increment(ec)) {
-      if (it->is_regular_file() && it->path().extension() == ".json") {
-        out.push_back(it->path().string());
-      }
-    }
-    if (ec) return util::Status::internal("cannot list " + input + ": " + ec.message());
-    if (out.empty()) {
-      return util::Status::not_found("no .json reports in directory " + input);
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-  auto doc = util::load_json_file(input);
-  if (!doc) return doc.status();
-  if (doc->is_array()) {
-    for (const util::Json& entry : doc->elements()) {
-      fs::path p(entry.as_string());
-      if (p.empty()) {
-        return util::Status::invalid_argument("manifest " + input +
-                                              " has a non-path entry");
-      }
-      if (p.is_relative()) p = fs::path(input).parent_path() / p;
-      out.push_back(p.string());
-    }
-    if (out.empty()) {
-      return util::Status::not_found("manifest " + input + " lists no reports");
-    }
-    return out;
-  }
-  out.push_back(input);  // a report document itself
-  return out;
-}
-
-int merge_reports(const std::vector<std::string>& inputs, const std::string& out_dir,
+int merge_reports(const std::vector<std::string>& paths, const std::string& out_dir,
                   const std::string& check_baseline_path,
                   const std::string& update_baselines_path) {
-  std::vector<std::string> paths;
-  for (const std::string& input : inputs) {
-    auto expanded = expand_merge_input(input);
-    if (!expanded) {
-      std::cerr << "error: " << expanded.status().to_string() << "\n";
-      return 2;
-    }
-    paths.insert(paths.end(), expanded->begin(), expanded->end());
-  }
   std::vector<util::Json> reports;
   for (const std::string& path : paths) {
     auto json = util::load_json_file(path);
@@ -263,9 +206,7 @@ int main(int argc, char** argv) {
       if (v == nullptr || !parse_shard(v, config)) return usage(argv[0]);
     } else if (arg == "--horizon-s") {
       const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      horizon_override = std::atof(v);
-      if (horizon_override <= 0.0) return usage(argv[0]);
+      if (v == nullptr || !parse_positive(v, horizon_override)) return usage(argv[0]);
     } else if (arg == "--out") {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);

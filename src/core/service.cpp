@@ -58,29 +58,18 @@ util::Status EvmService::start() {
       check_head_liveness();
       return;
     }
-    // Beat: bump the sequence and stamp it into every frame this node sends
-    // from now on (originations and relays alike). The explicit beacon
-    // broadcast is only spent when the data plane carried no tagged frame
-    // since the previous beat — piggy-backing reclaims the slot otherwise.
+    // Beat: bump the sequence, stamp it into every frame this node sends
+    // from now on (originations and relays alike) and broadcast the explicit
+    // beacon. A tree relay that sent tagged frames of its own since the
+    // previous probe skips forwarding it (Router::on_packet).
     ++beacon_seq_sent_;
     node_.router().set_beacon_tag({node_.id(), beacon_seq_sent_});
     last_beacon_ = node_.simulator().now();
-    if (node_.router().tagged_broadcast_sends() == tagged_sends_at_last_tick_ ||
-        rival_head_seen_) {
-      // Explicit beacon: the data plane was silent — or somebody else is
-      // claiming headship, and only the explicit path carries the
-      // lower-id-reclaims arbitration (a suppressing rival would otherwise
-      // split-brain forever).
-      rival_head_seen_ = false;
-      HeadBeaconMsg msg;
-      msg.vc = descriptor_.id;
-      msg.head = node_.id();
-      (void)node_.router().send_beacon(
-          static_cast<std::uint8_t>(MsgType::kHeadBeacon), msg.encode());
-    } else {
-      ++beacons_suppressed_;
-    }
-    tagged_sends_at_last_tick_ = node_.router().tagged_broadcast_sends();
+    HeadBeaconMsg msg;
+    msg.vc = descriptor_.id;
+    msg.head = node_.id();
+    (void)node_.router().send_beacon(
+        static_cast<std::uint8_t>(MsgType::kHeadBeacon), msg.encode());
     for (const auto& decision : arbiter_.on_beacon_tick(node_.simulator().now())) {
       apply(decision);
     }
@@ -468,7 +457,6 @@ void EvmService::handle_head_beacon(const net::Datagram& d) {
 
 void EvmService::on_beacon_tag(const net::BeaconTag& tag) {
   if (!tag.valid() || tag.head == node_.id()) return;
-  if (is_head()) rival_head_seen_ = true;  // force the next explicit beacon
   const util::TimePoint now = node_.simulator().now();
   if (tag.head == head_id_) {
     if (!beacon_seq_synced_ || seq_advanced(tag.seq, beacon_seq_seen_)) {

@@ -49,11 +49,6 @@ class EvmService {
   bool has_stream(std::uint8_t stream) const;
   const std::vector<FailoverEvent>& failovers() const { return failovers_; }
   std::size_t fault_reports_sent() const { return fault_reports_sent_; }
-  /// Head-side: beacon periods where the explicit beacon broadcast was
-  /// withheld because data-plane frames already carried the beacon tag
-  /// (each one is an RT-Link transmission — N slots under flooding —
-  /// reclaimed by piggy-backing).
-  std::size_t beacons_suppressed() const { return beacons_suppressed_; }
 
   /// Opt-in event tracing (nullptr disables): "head.elect", "promote" and
   /// "failover" instants on this node's track. Recording never perturbs
@@ -233,17 +228,6 @@ class EvmService {
   /// of waiting out another full silence window. Cleared by any real
   /// evidence (explicit beacon, tag from the believed head, self-election).
   bool head_provisional_ = false;
-  /// Head: the router's tagged-broadcast counter at the last beacon tick;
-  /// unchanged after a period means the data plane was silent and an
-  /// explicit beacon is due (the piggy-back fallback).
-  std::size_t tagged_sends_at_last_tick_ = 0;
-  std::size_t beacons_suppressed_ = 0;
-  /// Head: a tag claiming a different head was observed since the last
-  /// beacon tick. Suppression is only safe while headship is undisputed —
-  /// the explicit beacon is the channel the lower-id-reclaims rule lives
-  /// on, so a dispute forces one out regardless of data-plane traffic
-  /// (both rivals do; the lower id wins within a beacon period).
-  bool rival_head_seen_ = false;
   bool started_ = false;
 
  public:

@@ -78,9 +78,6 @@ class DisseminationTreeCache {
     return cached_;
   }
 
-  NodeId configured_root() const { return root_; }
-  const std::vector<NodeId>& targets() const { return targets_; }
-
  private:
   const Topology& topology_;
   NodeId root_;

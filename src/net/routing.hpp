@@ -10,7 +10,8 @@
 //
 // Datagrams additionally carry a piggy-backed head-beacon tag (head id +
 // beacon sequence) that gossips VC-head liveness over whatever data-plane
-// traffic is flowing, reclaiming the explicit once-per-second beacon flood.
+// traffic is flowing, so a tree relay that sent tagged frames of its own
+// since the previous explicit beacon skips forwarding it.
 #pragma once
 
 #include <array>
@@ -96,7 +97,6 @@ class Router {
   /// lasts) so they cross relays. Off by default: the Fig. 5 full mesh is
   /// single-hop and flooding there would only burn slots and energy.
   void enable_flooding() { mode_ = BroadcastMode::kFlood; }
-  bool flooding() const { return mode_ == BroadcastMode::kFlood; }
   /// Scoped dissemination: re-broadcast only when this node is an interior
   /// node of the shared tree (`cache` must outlive the router). Unicasts
   /// addressed to the tree root also climb the parent chain instead of an
@@ -110,7 +110,6 @@ class Router {
     mode_ = BroadcastMode::kTree;
     tree_cache_ = cache;
   }
-  BroadcastMode broadcast_mode() const { return mode_; }
   /// True when this node takes part in the broadcast dissemination
   /// structure (always, except for nodes outside the tree in kTree mode).
   /// Out-of-tree pure relays neither receive the beacon plane reliably nor
@@ -134,9 +133,6 @@ class Router {
   /// Summed across nodes (plus originations) this is the per-run slot cost
   /// of the broadcast plane.
   std::size_t broadcast_relays() const { return broadcast_relays_; }
-  /// Broadcast transmissions that carried a beacon tag (the piggy-back
-  /// channel the head watches to decide whether an explicit beacon is due).
-  std::size_t tagged_broadcast_sends() const { return tagged_broadcast_sends_; }
   /// Beacon-probe relays this node skipped because its own tagged data
   /// frames already covered the link since the previous probe — reclaimed
   /// RT-Link slots.
@@ -170,6 +166,7 @@ class Router {
   std::size_t forwarded_ = 0;
   std::size_t broadcasts_originated_ = 0;
   std::size_t broadcast_relays_ = 0;
+  /// Broadcast transmissions that carried a beacon tag.
   std::size_t tagged_broadcast_sends_ = 0;
   std::size_t beacon_relays_suppressed_ = 0;
   /// Snapshot of tagged_broadcast_sends_ after the last beacon probe this

@@ -305,10 +305,7 @@ RunMetrics ScenarioRunner::collect() {
                         : "single_hop";
   m.bcast_datagrams = counter("net.route.broadcasts_originated");
   m.bcast_transmissions = m.bcast_datagrams + counter("net.route.broadcast_relays");
-  // Reclaimed beacon slots: explicit beacons the head withheld plus probe
-  // relays the interior skipped because data frames already carried the tag.
-  m.beacons_suppressed = counter("core.service.beacons_suppressed") +
-                         counter("net.route.beacon_relays_suppressed");
+  m.beacons_suppressed = counter("net.route.beacon_relays_suppressed");
   if (m.bcast_datagrams > 0) {
     m.slots_per_broadcast = static_cast<double>(m.bcast_transmissions) /
                             static_cast<double>(m.bcast_datagrams);

@@ -51,9 +51,9 @@ struct RunMetrics {
   /// RT-Link slots consumed per unique broadcast datagram (the tentpole
   /// metric: ~N under flooding, ~tree interior size under scoping).
   double slots_per_broadcast = 0.0;
-  /// Beacon slots reclaimed by piggy-backing: explicit head beacons the
-  /// head withheld (its own frames carried the tag) plus beacon-probe
-  /// relays interior nodes skipped (their data frames covered the link).
+  /// Beacon slots reclaimed by piggy-backing: beacon-probe relays interior
+  /// nodes skipped because they sent tagged frames of their own since the
+  /// previous probe.
   std::size_t beacons_suppressed = 0;
 
   double level_rmse_pct = 0.0;     // RMS |level - setpoint| over the run

@@ -129,6 +129,9 @@ const char* to_string(EventKind kind) {
 }
 
 util::Status ScenarioSpec::validate() const {
+  if (!std::isfinite(horizon_s) || horizon_s <= 0.0) {
+    return Status::invalid_argument("'horizon_s' must be a finite positive number");
+  }
   const testbed::TopologySpec& topo = topology();
   if (util::Status s = topo.validate(); !s) {
     return Status::invalid_argument("topology: " + s.message());
@@ -186,9 +189,6 @@ Result<ScenarioSpec> ScenarioSpec::from_json(const Json& json) {
   if (const Json* d = json.find("description")) spec.description = d->as_string();
 
   if (Status s = read_number(json, "horizon_s", spec.horizon_s); !s) return s;
-  if (!(spec.horizon_s > 0.0)) {
-    return Status::invalid_argument("'horizon_s' must be positive");
-  }
 
   if (const Json* tb = json.find("testbed")) {
     if (!tb->is_object()) {

@@ -308,12 +308,10 @@ void TestbedBuilder::collect_metrics(obs::Metrics& metrics) {
 
   auto& failovers = metrics.counter("core.service.failovers");
   auto& successions = metrics.counter("core.service.head_successions");
-  auto& beacons_suppressed = metrics.counter("core.service.beacons_suppressed");
   for (auto& [id, service] : services_) {
     (void)id;
     failovers.add(service->failovers().size());
     successions.add(service->head_successions());
-    beacons_suppressed.add(service->beacons_suppressed());
   }
 
   const TaskTotals tasks = task_totals();

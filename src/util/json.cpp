@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -463,6 +464,12 @@ Result<Json> Json::parse(const std::string& text) {
 }
 
 Result<Json> load_json_file(const std::string& path) {
+  // An ifstream opens a directory and then reads nothing, which would
+  // surface as a parse error at byte 0.
+  std::error_code ec;
+  if (std::filesystem::is_directory(path, ec)) {
+    return Status::invalid_argument(path + " is a directory, not a JSON file");
+  }
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::not_found("cannot open " + path);
   std::ostringstream buffer;

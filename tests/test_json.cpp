@@ -206,6 +206,13 @@ TEST(JsonFile, LoadMissingFileIsNotFound) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
+TEST(JsonFile, LoadDirectoryIsRejectedByName) {
+  auto loaded = load_json_file(::testing::TempDir());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("is a directory"), std::string::npos)
+      << loaded.status().to_string();
+}
+
 TEST(JsonFile, LoadRoundTrip) {
   const std::string path = ::testing::TempDir() + "evm_json_test.json";
   {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -212,6 +213,20 @@ TEST(ScenarioRunner, RejectsReTimedSpecWithEventsPastHorizon) {
   const RunMetrics m = runner.run();
   EXPECT_FALSE(m.ok);
   EXPECT_NE(m.error.find("horizon"), std::string::npos) << m.error;
+}
+
+TEST(ScenarioSpec, NonFiniteHorizonFailsValidation) {
+  // Specs built in code skip the parser's checks; validate() (which the
+  // runner re-runs) must still refuse a horizon no simulation can reach.
+  auto spec = parse(kFailoverSpec);
+  ASSERT_TRUE(spec.ok());
+  for (double horizon : {std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN(), 0.0}) {
+    spec->horizon_s = horizon;
+    EXPECT_FALSE(spec->validate()) << "horizon " << horizon;
+    const RunMetrics m = ScenarioRunner(*spec, 1).run();
+    EXPECT_FALSE(m.ok) << "horizon " << horizon;
+  }
 }
 
 TEST(ScenarioSpec, JsonRoundTripIsStable) {

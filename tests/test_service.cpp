@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 
 #include "core/control_programs.hpp"
 #include "core/service.hpp"
+#include "net/dissemination.hpp"
 
 namespace evm::core {
 namespace {
@@ -520,8 +522,10 @@ TEST_F(ServiceFixture, TemporalTransferDropsStaleData) {
 }
 
 TEST_F(ServiceFixture, HeadBeaconKeepsMembersAligned) {
+  // The head publishes the sensor stream every 100 ms and beacons every
+  // period; over long silence windows nobody starts a succession.
   start();
-  run_for(util::Duration::seconds(10));
+  run_for(util::Duration::seconds(30));
   for (net::NodeId id : {2, 3, 4}) {
     EXPECT_EQ(services[id]->head_id(), 1) << "node " << id;
     EXPECT_EQ(services[id]->head_successions(), 0u);
@@ -606,25 +610,10 @@ TEST_F(ServiceFixture, CausalTransferDropsDuplicates) {
   EXPECT_TRUE(services[3]->has_stream(0));
 }
 
-TEST_F(ServiceFixture, BusyHeadPiggyBacksBeaconsInsteadOfBroadcasting) {
-  // The head publishes the sensor stream every 100 ms, so every beacon
-  // period carries plenty of tagged data-plane frames: the explicit beacon
-  // broadcast is withheld (slots reclaimed) while members' head-liveness
-  // clocks keep refreshing off the piggy-backed tags — long silence windows
-  // notwithstanding, nobody starts a succession.
-  start();
-  run_for(util::Duration::seconds(30));
-  EXPECT_GT(services[1]->beacons_suppressed(), 20u);
-  for (net::NodeId id : {2, 3, 4}) {
-    EXPECT_EQ(services[id]->head_id(), 1) << "node " << id;
-    EXPECT_EQ(services[id]->head_successions(), 0u) << "node " << id;
-  }
-}
-
 TEST_F(ServiceFixture, QuietHeadFallsBackToExplicitBeacons) {
-  // No data traffic at all (the sensor publisher is not started): the
-  // fallback path must keep emitting the explicit beacon every period, and
-  // members must stay aligned off it alone.
+  // No data traffic at all (the sensor publisher is not started): no tag
+  // rides a data frame, so members must stay aligned off the explicit
+  // beacon alone.
   for (net::NodeId id : {1, 2, 3, 4}) {
     services[id] = std::make_unique<EvmService>(*nodes[id], vc,
                                                 FailoverPolicy{util::Duration::seconds(2)});
@@ -637,19 +626,16 @@ TEST_F(ServiceFixture, QuietHeadFallsBackToExplicitBeacons) {
     ASSERT_TRUE(services[id]->set_mode(kLoop, ControllerMode::kDormant));
   }
   run_for(util::Duration::seconds(15));
-  EXPECT_EQ(services[1]->beacons_suppressed(), 0u);
   for (net::NodeId id : {2, 3, 4}) {
     EXPECT_EQ(services[id]->head_id(), 1) << "node " << id;
     EXPECT_EQ(services[id]->head_successions(), 0u) << "node " << id;
   }
 }
 
-TEST_F(ServiceFixture, RecoveredBusyHeadReclaimsHeadshipDespiteSuppression) {
-  // The split-brain corner of piggy-backing: the original head recovers
-  // with plenty of data traffic, so suppression would withhold exactly the
-  // explicit beacons the lower-id-reclaims rule rides on. Seeing the
-  // usurper's rival tag must force explicit beacons out of both heads until
-  // the lower id wins.
+TEST_F(ServiceFixture, RecoveredBusyHeadReclaimsHeadship) {
+  // The original head recovers with plenty of data traffic. Tags naming a
+  // rival head never depose a live one, so the lower-id-reclaims rule rides
+  // on the explicit beacons both heads keep sending: the lower id wins.
   start();
   run_for(util::Duration::seconds(2));
   nodes[1]->fail();
@@ -671,13 +657,84 @@ TEST_F(ServiceFixture, StaleTagsDoNotKeepADeadHeadAlive) {
   // beacons.
   start();
   run_for(util::Duration::seconds(10));
-  EXPECT_GT(services[1]->beacons_suppressed(), 0u);  // piggy-backing active
+  EXPECT_TRUE(nodes[2]->router().beacon_tag().valid());  // tags circulate
   nodes[1]->fail();
   run_for(util::Duration::seconds(10));
   EXPECT_EQ(services[2]->head_id(), 2);
   EXPECT_EQ(services[2]->head_successions(), 1u);
   EXPECT_EQ(services[3]->head_id(), 2);
   EXPECT_EQ(services[4]->head_id(), 2);
+}
+
+// Relay-side beacon suppression on the line 1-2-3-4-5 with tree
+// dissemination: head 1 beacons every second, interior nodes 2-4 relay the
+// probe, and a relay whose own tagged frames went out since the previous
+// probe skips it.
+struct RelayFixture : ::testing::Test {
+  sim::Simulator sim{31};
+  net::Topology topo = net::Topology::line({1, 2, 3, 4, 5});
+  net::Medium medium{sim, topo};
+  net::DisseminationTreeCache tree{topo, 1, {1, 2, 3, 4, 5}};
+  net::RtLinkSchedule schedule{8, util::Duration::millis(5)};
+  net::TimeSync sync{sim, {}};
+  std::map<net::NodeId, std::unique_ptr<Node>> nodes;
+  std::map<net::NodeId, std::unique_ptr<EvmService>> services;
+
+  RelayFixture() {
+    int slot = 0;
+    for (net::NodeId id : {1, 2, 3, 4, 5}) {
+      schedule.assign_tx(slot++, id);
+      NodeConfig config;
+      config.id = id;
+      nodes[id] = std::make_unique<Node>(sim, medium, schedule, sync, config);
+      nodes[id]->router().enable_tree_dissemination(&tree);
+    }
+  }
+
+  /// A VC with no functions, so no heartbeats: the data plane carries only
+  /// what `publish_period` adds (the head's sensor stream).
+  void start(std::optional<util::Duration> publish_period) {
+    VcDescriptor vc;
+    vc.id = 1;
+    vc.head = 1;
+    vc.members = {1, 2, 3, 4, 5};
+    for (net::NodeId id : {1, 2, 3, 4, 5}) {
+      services[id] = std::make_unique<EvmService>(*nodes[id], vc);
+      ASSERT_TRUE(services[id]->start());
+    }
+    sync.start();
+    if (!publish_period) return;
+    rtos::TaskParams pub;
+    pub.name = "pub";
+    pub.period = *publish_period;
+    pub.wcet = util::Duration::micros(100);
+    pub.priority = 2;
+    auto id = nodes[1]->kernel().admit_task(
+        pub, [this] { services[1]->publish_sensor(0, 42.0); });
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE(nodes[1]->kernel().start_task(*id));
+  }
+};
+
+TEST_F(RelayFixture, QuietPlaneRelaysEveryProbe) {
+  start(std::nullopt);
+  sim.run_until(sim.now() + util::Duration::seconds(30));
+  for (net::NodeId id : {2, 3, 4}) {
+    EXPECT_EQ(nodes[id]->router().broadcast_relays(), 30u) << "node " << id;
+    EXPECT_EQ(nodes[id]->router().beacon_relays_suppressed(), 0u) << "node " << id;
+  }
+  EXPECT_EQ(services[5]->head_id(), 1);
+  EXPECT_EQ(services[5]->head_successions(), 0u);
+}
+
+TEST_F(RelayFixture, BusyRelaySkipsProbesAfterItsOwnTaggedFrames) {
+  start(util::Duration::millis(100));
+  sim.run_until(sim.now() + util::Duration::seconds(30));
+  EXPECT_GE(nodes[2]->router().beacon_relays_suppressed(), 25u);
+  for (net::NodeId id : {2, 3, 4, 5}) {
+    EXPECT_EQ(services[id]->head_id(), 1) << "node " << id;
+    EXPECT_EQ(services[id]->head_successions(), 0u) << "node " << id;
+  }
 }
 
 }  // namespace
