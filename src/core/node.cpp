@@ -71,6 +71,7 @@ void Node::fail() {
   // events that fire while the node is dead are not clobbered on recovery.
   topology_.set_node_down(config_.id, true);
   EVM_INFO("node", "node " << config_.id << " crash-stopped");
+  if (liveness_observer_) liveness_observer_();
 }
 
 void Node::recover() {
@@ -86,6 +87,7 @@ void Node::recover() {
   stopped_by_failure_.clear();
   topology_.set_node_down(config_.id, false);
   EVM_INFO("node", "node " << config_.id << " recovered");
+  if (liveness_observer_) liveness_observer_();
 }
 
 double Node::battery_fraction() const {

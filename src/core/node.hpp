@@ -3,6 +3,7 @@
 // This is the unit the Virtual Component composes across.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -59,6 +60,12 @@ class Node {
   /// (the head re-supervises replicas whose mode went stale meanwhile).
   void recover();
   bool failed() const { return failed_; }
+  /// Runs at the end of every fail() and recover() that changes state (the
+  /// EVM service re-aligns its head-liveness watchdog on these).
+  void set_liveness_observer(std::function<void()> observer) {
+    liveness_observer_ = std::move(observer);
+  }
+  net::Topology& topology() { return topology_; }
 
   /// Opt-in event tracing (nullptr disables). Fans the recorder out to the
   /// MAC and router, and emits "crash" / "restart" instants from fail() /
@@ -82,6 +89,7 @@ class Node {
   std::map<std::uint8_t, std::function<double()>> sensors_;
   std::map<std::uint8_t, std::function<void(double)>> actuators_;
   std::vector<rtos::TaskId> stopped_by_failure_;
+  std::function<void()> liveness_observer_;
   obs::TraceRecorder* trace_ = nullptr;
   bool failed_ = false;
 };

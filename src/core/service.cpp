@@ -9,11 +9,18 @@ namespace evm::core {
 namespace {
 constexpr const char* kTag = "evm";
 
-/// Wrap-around-safe beacon sequence comparison (u16, one bump per second:
-/// half the space is ~9 hours of lead, far beyond any liveness window).
+/// Wrap-around-safe beacon sequence comparison (u16, one bump per
+/// head_beacon_period: half the space is 32768 beats, ~9 hours at 1 s, far
+/// beyond any liveness window).
 bool seq_advanced(std::uint16_t seq, std::uint16_t last) {
   return static_cast<std::int16_t>(seq - last) > 0;
 }
+
+/// WCET of the evm-beacon task; its body runs this long after each release.
+constexpr util::Duration kBeaconWcet = util::Duration::micros(200);
+/// First-release offset of a watchdog node's evm-beacon task: ~100 years,
+/// past any run, so the task holds its kernel share without ever releasing.
+constexpr util::Duration kParkedPhase = util::Duration::seconds(100LL * 365 * 86400);
 }  // namespace
 
 EvmService::EvmService(Node& node, VcDescriptor descriptor, FailoverPolicy policy)
@@ -38,6 +45,15 @@ EvmService::EvmService(Node& node, VcDescriptor descriptor, FailoverPolicy polic
       [this](const MigrationOfferMsg& meta, const std::vector<std::uint8_t>& payload) {
         return accept_migrated_function(meta, payload);
       });
+  node_.set_liveness_observer([this] { on_liveness_change(); });
+  topology_listener_ = node_.topology().add_listener([this] {
+    if (watchdog_ == Watchdog::kAsleep && !node_.failed()) arm_watchdog();
+  });
+}
+
+EvmService::~EvmService() {
+  node_.topology().remove_listener(topology_listener_);
+  node_.simulator().cancel(watchdog_event_);
 }
 
 util::Status EvmService::start() {
@@ -45,14 +61,19 @@ util::Status EvmService::start() {
   started_ = true;
   node_.start();
   last_beacon_ = node_.simulator().now();
+  beacon_origin_ = last_beacon_;
 
   // Head liveness: the head beacons; every member supervises the beacon and
-  // runs the deterministic succession when it goes silent.
+  // runs the deterministic succession when it goes silent. Members start on
+  // the watchdog (see service.hpp); a replica going live below switches to
+  // the task at once.
+  const bool watchdog = !is_head();
   rtos::TaskParams beacon_params;
   beacon_params.name = "evm-beacon";
   beacon_params.period = arbiter_.policy().head_beacon_period;
-  beacon_params.wcet = util::Duration::micros(200);
+  beacon_params.wcet = kBeaconWcet;
   beacon_params.priority = 1;
+  if (watchdog) beacon_params.phase = kParkedPhase;
   auto beacon = node_.kernel().admit_task(beacon_params, [this] {
     if (!is_head()) {
       check_head_liveness();
@@ -74,7 +95,11 @@ util::Status EvmService::start() {
       apply(decision);
     }
   });
-  if (beacon) (void)node_.kernel().start_task(*beacon);
+  if (beacon) {
+    beacon_task_ = *beacon;
+    (void)node_.kernel().start_task(beacon_task_);
+    if (watchdog) arm_watchdog();
+  }
 
   for (const auto& [fid, function] : descriptor_.functions) {
     arbiter_.start_function(fid, node_.simulator().now());
@@ -196,6 +221,7 @@ util::Status EvmService::add_sensor_publisher(std::uint8_t stream,
     publish_sensor(stream, node_.read_sensor(channel));
   });
   if (!id) return id.status();
+  run_beacon_task();
   return node_.kernel().start_task(*id);
 }
 
@@ -244,6 +270,7 @@ util::Status EvmService::set_mode(FunctionId function, ControllerMode mode) {
   if (was_running && !will_run) {
     (void)node_.kernel().stop_task(rt.task);
   } else if (!was_running && will_run) {
+    run_beacon_task();
     util::Status status = node_.kernel().start_task(rt.task);
     if (!status) return status;
   }
@@ -440,9 +467,7 @@ void EvmService::handle_head_beacon(const net::Datagram& d) {
     // Lowest id wins: adopt a lower-id claimant (a recovered original head
     // reclaims the role); a higher-id claimant is adopted only if our own
     // head has gone silent (we would be about to elect it anyway).
-    const bool our_head_silent =
-        node_.simulator().now() - last_beacon_ > arbiter_.policy().beacon_silence();
-    if (msg.head < head_id_ || our_head_silent) {
+    if (msg.head < head_id_ || head_silent()) {
       EVM_INFO(kTag, "node " << node_.id() << " adopts node " << msg.head
                              << " as VC head");
       head_id_ = msg.head;
@@ -452,18 +477,17 @@ void EvmService::handle_head_beacon(const net::Datagram& d) {
     }
   }
   head_provisional_ = false;  // the claimant itself was heard
-  last_beacon_ = node_.simulator().now();
+  heard_head();
 }
 
 void EvmService::on_beacon_tag(const net::BeaconTag& tag) {
   if (!tag.valid() || tag.head == node_.id()) return;
-  const util::TimePoint now = node_.simulator().now();
   if (tag.head == head_id_) {
     if (!beacon_seq_synced_ || seq_advanced(tag.seq, beacon_seq_seen_)) {
       beacon_seq_seen_ = tag.seq;
       beacon_seq_synced_ = true;
       head_provisional_ = false;  // the believed head's stream is live
-      last_beacon_ = now;
+      heard_head();
       // Re-gossip the freshest proof on everything we send from here on.
       node_.router().set_beacon_tag(tag);
     }
@@ -475,22 +499,31 @@ void EvmService::on_beacon_tag(const net::BeaconTag& tag) {
   // (members would re-adopt a corpse off their own stale heartbeat tags).
   // Tags therefore only sway the election once our own head has gone
   // silent; the lower-id-reclaims rule stays on the explicit-beacon path.
-  const bool our_head_silent = now - last_beacon_ > arbiter_.policy().beacon_silence();
+  //
   // A provisional successor guess holds zero evidence, so the lowest-id-wins
   // rule applies to it immediately: a tag naming a lower-id head displaces
   // the guess without waiting out another full silence window. (A confirmed
   // head is still only displaced by silence — a circulating stale tag must
   // not depose a live head.)
-  if (our_head_silent || (head_provisional_ && tag.head < head_id_)) {
+  if (head_silent() || (head_provisional_ && tag.head < head_id_)) {
     EVM_INFO(kTag, "node " << node_.id() << " adopts node " << tag.head
                            << " as VC head (piggy-backed beacon)");
     head_id_ = tag.head;
     beacon_seq_seen_ = tag.seq;
     beacon_seq_synced_ = true;
     head_provisional_ = false;
-    last_beacon_ = now;
+    heard_head();
     node_.router().set_beacon_tag(tag);
   }
+}
+
+bool EvmService::head_silent() const {
+  return node_.simulator().now() - last_beacon_ > arbiter_.policy().beacon_silence();
+}
+
+void EvmService::heard_head() {
+  last_beacon_ = node_.simulator().now();
+  if (watchdog_ == Watchdog::kAsleep) arm_watchdog();
 }
 
 void EvmService::check_head_liveness() {
@@ -498,9 +531,7 @@ void EvmService::check_head_liveness() {
   // the beacon plane does not reliably reach them, they hold no replicas,
   // and a spurious succession from one of them would only add noise — they
   // sit the election out.
-  if (node_.simulator().now() - last_beacon_ <= arbiter_.policy().beacon_silence()) {
-    return;
-  }
+  if (!head_silent()) return;
   // The head timed out: stop re-gossiping its (now stale) tag. Leaving it
   // stamped on our own frames would keep the corpse's liveness proof
   // circulating forever. This applies to out-of-tree relays too — they
@@ -530,11 +561,13 @@ void EvmService::check_head_liveness() {
     head_id_ = successor;
     beacon_seq_synced_ = false;
     head_provisional_ = true;
-    last_beacon_ = node_.simulator().now();
+    heard_head();
   }
 }
 
 void EvmService::become_head() {
+  // The next beat comes from the evm-beacon task's next release.
+  run_beacon_task();
   ++head_successions_;
   if (trace_ != nullptr) {
     util::Json args = util::Json::object();
@@ -553,6 +586,58 @@ void EvmService::become_head() {
   EVM_INFO(kTag, "node " << node_.id() << " assumes VC head role (succession #"
                          << head_successions_ << ")");
   arbiter_.on_become_head(node_.simulator().now());
+}
+
+void EvmService::arm_watchdog() {
+  const std::int64_t period = arbiter_.policy().head_beacon_period.ns();
+  const std::int64_t first = (beacon_origin_ + kBeaconWcet).ns();
+  const std::int64_t silent_after = (last_beacon_ + arbiter_.policy().beacon_silence()).ns();
+  const std::int64_t now = node_.simulator().now().ns();
+  // Smallest k >= 0 with first + k·period > silent_after and >= now.
+  std::int64_t k = silent_after < first ? 0 : (silent_after - first) / period + 1;
+  if (now > first) k = std::max(k, (now - first + period - 1) / period);
+  watchdog_ = Watchdog::kArmed;
+  watchdog_event_ = node_.simulator().schedule_at(util::TimePoint(first + k * period),
+                                                  [this] { on_watchdog(); });
+}
+
+void EvmService::on_watchdog() {
+  watchdog_ = Watchdog::kAsleep;
+  // A provisional adoption re-arms through heard_head(); a succession
+  // switches to the task.
+  check_head_liveness();
+  if (watchdog_ == Watchdog::kAsleep && !head_silent()) arm_watchdog();
+}
+
+void EvmService::on_liveness_change() {
+  if (watchdog_ == Watchdog::kTask) return;
+  if (node_.failed()) {
+    node_.simulator().cancel(watchdog_event_);
+    watchdog_ = Watchdog::kDown;
+  } else {
+    beacon_origin_ = node_.simulator().now();
+    arm_watchdog();
+  }
+}
+
+void EvmService::run_beacon_task() {
+  if (watchdog_ == Watchdog::kTask) return;
+  rtos::Kernel& kernel = node_.kernel();
+  rtos::TaskParams& params = kernel.scheduler().task(beacon_task_)->params;
+  if (watchdog_ != Watchdog::kDown) {
+    // Un-park: the first release lands on the watchdog's grid,
+    // origin + k·period >= now. (A crashed node's task restarts with the
+    // node, at once, as every restarted task does.)
+    node_.simulator().cancel(watchdog_event_);
+    const util::Duration period = arbiter_.policy().head_beacon_period;
+    const std::int64_t since = (node_.simulator().now() - beacon_origin_).ns();
+    const std::int64_t k = (since + period.ns() - 1) / period.ns();
+    (void)kernel.stop_task(beacon_task_);
+    params.phase = beacon_origin_ + period * k - node_.simulator().now();
+    (void)kernel.start_task(beacon_task_);
+  }
+  params.phase = util::Duration::zero();
+  watchdog_ = Watchdog::kTask;
 }
 
 void EvmService::observe_active_output(FunctionId function, net::NodeId source,

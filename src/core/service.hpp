@@ -29,6 +29,9 @@ namespace evm::core {
 class EvmService {
  public:
   EvmService(Node& node, VcDescriptor descriptor, FailoverPolicy policy = {});
+  ~EvmService();
+  EvmService(const EvmService&) = delete;
+  EvmService& operator=(const EvmService&) = delete;
 
   /// Create control tasks for every function this node replicates, start
   /// heartbeats and (if this node is the head) the arbitration state.
@@ -173,8 +176,42 @@ class EvmService {
   /// cannot keep a dead head alive). Also runs the adoption rule explicit
   /// beacons use (lower id wins; higher id only once ours went silent).
   void on_beacon_tag(const net::BeaconTag& tag);
+  /// True once the head has been silent for longer than beacon_silence().
+  bool head_silent() const;
+  /// A member heard its head (or adopted one): restart the liveness clock
+  /// and wake a sleeping watchdog.
+  void heard_head();
   void check_head_liveness();
   void become_head();
+
+  // --- Head liveness: the evm-beacon task or its watchdog -------------------
+  // The head beats from the periodic evm-beacon task (priority 1, 200 us).
+  // So does every node on which the service runs another task (a replica,
+  // a sensor publisher), because that job can delay the other one. Every
+  // other node keeps the task admitted and active for the kernel's
+  // books (utilization(), admission, RAM) but parks its first release
+  // beyond any run, and runs check_head_liveness() from one watchdog event
+  // instead.
+  //
+  // The watchdog fires only on the instants the task body would have run,
+  // origin + k·period + 200 us (origin: start() or the last restart), at
+  // the first one past last_beacon_ + beacon_silence(); when it fires early
+  // because last_beacon_ moved, it re-arms. After a check that leaves the
+  // head silent (the node is off the dissemination tree, or has no
+  // successor to adopt) every later check would repeat it, so it sleeps.
+  // It wakes when heard_head() runs or the topology's structure changes
+  // (the tree is a function of it). A crash cancels it (kDown); the restart
+  // re-origins the grid, as the task's own restart does. A node switches
+  // to the task, on the same grid and for good, when it wins succession or
+  // the service starts another task on it (a sensor publisher, a replica
+  // going live).
+  enum class Watchdog : std::uint8_t { kTask, kArmed, kAsleep, kDown };
+  /// Arm the watchdog at the first grid instant past the silence window.
+  void arm_watchdog();
+  void on_watchdog();
+  void on_liveness_change();
+  /// Switch a watchdog node to the real evm-beacon task (no-op otherwise).
+  void run_beacon_task();
   /// Act on an arbiter decision in the order the arbiter made it: trace and
   /// log its cause, record its failover, send (or self-apply) its mode
   /// commands and schedule its deadlines.
@@ -211,6 +248,11 @@ class EvmService {
   net::NodeId head_id_ = net::kInvalidNode;
   util::TimePoint last_beacon_;
   std::size_t head_successions_ = 0;
+  rtos::TaskId beacon_task_ = rtos::kInvalidTask;
+  Watchdog watchdog_ = Watchdog::kTask;
+  util::TimePoint beacon_origin_;
+  sim::EventHandle watchdog_event_;
+  std::size_t topology_listener_ = 0;
   /// Head: own beacon sequence (bumped once per beacon period, stamped into
   /// every outgoing frame via the router's tag).
   std::uint16_t beacon_seq_sent_ = 0;

@@ -10,21 +10,21 @@ const std::vector<Topology::CellMask> kNoCells;
 }  // namespace
 
 void Topology::add_node(NodeId id) {
-  if (nodes_.insert(id).second) ++version_;
+  if (nodes_.insert(id).second) changed();
 }
 
 void Topology::remove_node(NodeId id) {
-  bool changed = nodes_.erase(id) > 0;
-  changed |= down_nodes_.erase(id) > 0;
+  bool removed = nodes_.erase(id) > 0;
+  removed |= down_nodes_.erase(id) > 0;
   for (auto it = links_.begin(); it != links_.end();) {
     if (it->first.first == id || it->first.second == id) {
       it = links_.erase(it);
-      changed = true;
+      removed = true;
     } else {
       ++it;
     }
   }
-  if (changed) ++version_;
+  if (removed) changed();
 }
 
 bool Topology::has_node(NodeId id) const { return nodes_.count(id) > 0; }
@@ -37,23 +37,20 @@ void Topology::set_link(NodeId a, NodeId b, LinkState state) {
   nodes_.insert(a);
   nodes_.insert(b);
   auto [it, inserted] = links_.try_emplace(key(a, b), state);
-  if (inserted) {
-    ++version_;
-  } else {
-    if (it->second.up != state.up) ++version_;  // connectivity changed
-    it->second = state;
-  }
+  const bool flipped = !inserted && it->second.up != state.up;
+  it->second = state;
+  if (inserted || flipped) changed();  // connectivity changed
 }
 
 void Topology::remove_link(NodeId a, NodeId b) {
-  if (links_.erase(key(a, b)) > 0) ++version_;
+  if (links_.erase(key(a, b)) > 0) changed();
 }
 
 void Topology::set_link_up(NodeId a, NodeId b, bool up) {
   auto it = links_.find(key(a, b));
   if (it != links_.end() && it->second.up != up) {
     it->second.up = up;
-    ++version_;
+    changed();
   }
 }
 
@@ -71,9 +68,25 @@ std::optional<LinkState> Topology::link(NodeId a, NodeId b) const {
 }
 
 void Topology::set_node_down(NodeId id, bool down) {
-  const bool changed =
+  const bool flipped =
       down ? down_nodes_.insert(id).second : down_nodes_.erase(id) > 0;
-  if (changed) ++version_;
+  if (flipped) changed();
+}
+
+std::size_t Topology::add_listener(std::function<void()> listener) {
+  listeners_.push_back(std::move(listener));
+  return listeners_.size() - 1;
+}
+
+void Topology::remove_listener(std::size_t token) {
+  if (token < listeners_.size()) listeners_[token] = nullptr;
+}
+
+void Topology::changed() {
+  ++version_;
+  for (const auto& listener : listeners_) {
+    if (listener) listener();
+  }
 }
 
 bool Topology::connected(NodeId a, NodeId b) const {

@@ -96,6 +96,13 @@ class Topology {
   /// never invalidates them.
   std::uint64_t version() const { return version_; }
 
+  /// Structural-change notification: `listener` runs after every version()
+  /// bump, once the mutation is complete, in registration order. It must
+  /// not mutate the topology. Returns the token remove_listener() takes.
+  std::size_t add_listener(std::function<void()> listener);
+  /// O(1): the slot stays, empty, so a 1000-node teardown is not quadratic.
+  void remove_listener(std::size_t token);
+
   /// Largest registered NodeId (0 when empty): consumers sizing dense
   /// flat arrays by raw NodeId (Medium's radio table) use this.
   NodeId max_node_id() const { return nodes_.empty() ? 0 : *nodes_.rbegin(); }
@@ -120,10 +127,14 @@ class Topology {
   /// cached per destination and rebuilt when the version moves.
   const std::vector<std::int32_t>& distances_from(NodeId dest) const;
 
+  /// Bump version_ and notify the listeners.
+  void changed();
+
   std::set<NodeId> nodes_;
   std::set<NodeId> down_nodes_;
   std::map<std::pair<NodeId, NodeId>, LinkState> links_;
   std::uint64_t version_ = 0;
+  std::vector<std::function<void()>> listeners_;  // indexed by token
 
   // --- Lazily rebuilt flat caches (logically const: pure functions of the
   // structural state above, hence mutable). Vectors only — iteration order

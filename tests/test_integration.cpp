@@ -271,6 +271,26 @@ TEST(ShippedScenarios, TdmaSlotsStayCollisionFree) {
   }
 }
 
+TEST(ShippedScenarios, IdleNodesCostNoPerBeatEvents) {
+  // Head liveness must not cost every node two RTOS events per beacon
+  // period. In the 100-node world only the head and the nodes that run
+  // another task keep the periodic evm-beacon task; every other node
+  // watches the head from one lazy watchdog event that sleeps while a check
+  // would change nothing. A periodic task on all 100 nodes releases ~12k
+  // jobs here and dispatches ~64k events.
+  auto spec = scenario::ScenarioSpec::load_file(EVM_REPO_SCENARIOS_DIR
+                                                "/scale_sweep_100.json");
+  ASSERT_TRUE(spec.ok()) << spec.status().to_string();
+  scenario::CampaignConfig config;
+  config.base_seed = 1;
+  config.seeds = 1;
+  const auto runs = scenario::run_campaign(*spec, config).runs;
+  ASSERT_EQ(runs.size(), 1u);
+  ASSERT_TRUE(runs[0].ok) << runs[0].error;
+  EXPECT_LT(runs[0].task_releases, 1000u);
+  EXPECT_LT(runs[0].sim_events, 50000u);
+}
+
 /// A report without its wall-clock "timing" block, the only part of a
 /// campaign report that may differ between invocations.
 util::Json without_timing(const util::Json& report) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "core/control_programs.hpp"
 #include "core/service.hpp"
@@ -735,6 +737,226 @@ TEST_F(RelayFixture, BusyRelaySkipsProbesAfterItsOwnTaggedFrames) {
     EXPECT_EQ(services[id]->head_id(), 1) << "node " << id;
     EXPECT_EQ(services[id]->head_successions(), 0u) << "node " << id;
   }
+}
+
+// Head-liveness watchdog. A member whose kernel runs no task of its own
+// watches the head from one lazy event instead of the periodic evm-beacon
+// task, whose body would run at origin + k·period + 200 us (origin: start
+// or the last restart). Each test pins the instant the node acts to that
+// grid. Default policy: 1 s beacon period, 5 s silence window. Nodes 1-4,
+// head 1, no control functions unless a test adds them.
+struct WatchdogWorld {
+  sim::Simulator sim{31};
+  net::Topology topo;
+  std::unique_ptr<net::Medium> medium;
+  std::unique_ptr<net::DisseminationTreeCache> tree;
+  net::RtLinkSchedule schedule{8, util::Duration::millis(5)};
+  net::TimeSync sync{sim, {}};
+  std::map<net::NodeId, std::unique_ptr<Node>> nodes;
+  std::map<net::NodeId, std::unique_ptr<EvmService>> services;
+
+  /// Instant of the k-th body run on the grid that starts at `origin`.
+  static util::TimePoint grid(std::int64_t k,
+                              util::TimePoint origin = util::TimePoint::zero()) {
+    return origin + util::Duration::seconds(k) + util::Duration::micros(200);
+  }
+
+  /// `tree_targets` empty: no dissemination tree, every node takes part in
+  /// the election. `serviced`: the nodes that run an EvmService (the others
+  /// only run their MAC).
+  WatchdogWorld(net::Topology topology, std::vector<net::NodeId> tree_targets,
+                std::vector<net::NodeId> serviced = {1, 2, 3, 4})
+      : topo(std::move(topology)) {
+    medium = std::make_unique<net::Medium>(sim, topo);
+    if (!tree_targets.empty()) {
+      tree = std::make_unique<net::DisseminationTreeCache>(topo, 1, tree_targets);
+    }
+    int slot = 0;
+    for (net::NodeId id : {1, 2, 3, 4}) {
+      schedule.assign_tx(slot++, id);
+      NodeConfig config;
+      config.id = id;
+      nodes[id] = std::make_unique<Node>(sim, *medium, schedule, sync, config);
+      if (tree) nodes[id]->router().enable_tree_dissemination(tree.get());
+    }
+    VcDescriptor vc;
+    vc.id = 1;
+    vc.head = 1;
+    vc.members = {1, 2, 3, 4};
+    for (net::NodeId id : {1, 2, 3, 4}) {
+      if (std::find(serviced.begin(), serviced.end(), id) == serviced.end()) {
+        nodes[id]->start();
+        continue;
+      }
+      services[id] = std::make_unique<EvmService>(*nodes[id], vc);
+      EXPECT_TRUE(services[id]->start());
+    }
+    sync.start();
+  }
+
+  void run_to(util::TimePoint t) { sim.run_until(t); }
+
+  const rtos::Tcb& task(net::NodeId node, const std::string& name) {
+    rtos::Scheduler& scheduler = nodes[node]->kernel().scheduler();
+    for (rtos::TaskId id : scheduler.task_ids()) {
+      if (scheduler.task(id)->params.name == name) return *scheduler.task(id);
+    }
+    ADD_FAILURE() << "no task '" << name << "' on node " << node;
+    static const rtos::Tcb kNone;
+    return kNone;
+  }
+};
+
+constexpr util::Duration kNs = util::Duration::nanos(1);
+
+/// Full mesh over 1-3; node 4 has no link at all, so it never hears a head.
+net::Topology isolated_node_4() {
+  net::Topology topo = net::Topology::full_mesh({1, 2, 3});
+  topo.add_node(4);
+  return topo;
+}
+
+TEST(Watchdog, IsolatedMemberWalksTheSuccessionOnTheTaskGrid) {
+  // Node 4 hears nothing. Its first check past the 5 s silence window is
+  // grid(5): it adopts 2 provisionally. Five more beats of silence later
+  // (grid 11) it moves on to 3, and at grid 17 the walk reaches itself. As
+  // head it beats from the real task: its first explicit beacon (sequence
+  // 2; the claim at grid 17 took 1) goes out at grid 18, on the same grid.
+  WatchdogWorld w(isolated_node_4(), {});
+  EvmService& svc = *w.services[4];
+  w.run_to(WatchdogWorld::grid(5) - kNs);
+  EXPECT_EQ(svc.head_id(), 1);
+  w.run_to(WatchdogWorld::grid(5));
+  EXPECT_EQ(svc.head_id(), 2);
+  w.run_to(WatchdogWorld::grid(11) - kNs);
+  EXPECT_EQ(svc.head_id(), 2);
+  w.run_to(WatchdogWorld::grid(11));
+  EXPECT_EQ(svc.head_id(), 3);
+  w.run_to(WatchdogWorld::grid(17) - kNs);
+  EXPECT_FALSE(svc.is_head());
+  EXPECT_EQ(w.task(4, "evm-beacon").stats.releases, 0u);
+  w.run_to(WatchdogWorld::grid(17));
+  ASSERT_TRUE(svc.is_head());
+  EXPECT_EQ(w.nodes[4]->router().beacon_tag().seq, 1);
+  w.run_to(WatchdogWorld::grid(18) - kNs);
+  EXPECT_EQ(w.nodes[4]->router().beacon_tag().seq, 1);
+  EXPECT_EQ(w.task(4, "evm-beacon").stats.releases, 1u);  // released at 18 s
+  w.run_to(WatchdogWorld::grid(18));
+  EXPECT_EQ(w.nodes[4]->router().beacon_tag().seq, 2);
+}
+
+TEST(Watchdog, RestartReOriginsTheGrid) {
+  // Node 4 crashes at 3 s and restarts at 3.7 s. The task would restart
+  // with the node and release at once, so the checks move to 3.7002 s,
+  // 4.7002 s, ...: the first one past the silence window is 5.7002 s, not
+  // grid(5).
+  WatchdogWorld w(isolated_node_4(), {});
+  EvmService& svc = *w.services[4];
+  w.run_to(util::TimePoint::zero() + util::Duration::seconds(3));
+  w.nodes[4]->fail();
+  w.run_to(util::TimePoint::zero() + util::Duration::millis(3700));
+  const util::TimePoint restart = w.sim.now();
+  w.nodes[4]->recover();
+  w.run_to(WatchdogWorld::grid(5));
+  EXPECT_EQ(svc.head_id(), 1);
+  w.run_to(WatchdogWorld::grid(2, restart) - kNs);
+  EXPECT_EQ(svc.head_id(), 1);
+  w.run_to(WatchdogWorld::grid(2, restart));
+  EXPECT_EQ(svc.head_id(), 2);
+}
+
+TEST(Watchdog, SleepingOffTreeNodeCostsNoEventsAndWakesOnTopologyChange) {
+  // Line 1-2-3-4 plus a spare link 1-4, down at first. The tree spans head
+  // 1 and target 3, so node 4 is off it and hears nothing (3 is a leaf and
+  // never relays). Its check at grid(5) finds the head silent and itself
+  // off the tree; every later check would repeat that, so it sleeps. At
+  // 9.9997 s link 1-4 comes up and 2-3 goes down: the tree becomes 1-4-3,
+  // and at grid(10), the next instant the task would have checked, node 4
+  // runs the succession and adopts 2.
+  auto line = [] {
+    net::Topology topo = net::Topology::line({1, 2, 3, 4});
+    topo.set_link(1, 4, net::LinkState{false, 0.0});
+    return topo;
+  };
+  WatchdogWorld w(line(), {1, 3});
+  // The same world without node 4's service: only its MAC runs.
+  WatchdogWorld bare(line(), {1, 3}, {1, 2, 3});
+  for (WatchdogWorld* world : {&w, &bare}) world->run_to(WatchdogWorld::grid(6));
+  const std::size_t events_before = w.sim.dispatched_events();
+  const std::size_t bare_before = bare.sim.dispatched_events();
+  for (WatchdogWorld* world : {&w, &bare}) {
+    world->run_to(util::TimePoint::zero() + util::Duration::micros(9'999'700));
+  }
+  // Asleep from grid(5) on: no event at all over grids 7-9.
+  EXPECT_EQ(w.sim.dispatched_events() - events_before,
+            bare.sim.dispatched_events() - bare_before);
+  EXPECT_EQ(w.task(4, "evm-beacon").stats.releases, 0u);
+  EXPECT_EQ(w.services[4]->head_id(), 1);
+
+  w.topo.set_link_up(1, 4, true);
+  w.topo.set_link_up(2, 3, false);
+  ASSERT_TRUE(w.tree->tree().contains(4));
+  w.run_to(WatchdogWorld::grid(10) - kNs);
+  EXPECT_EQ(w.services[4]->head_id(), 1);
+  w.run_to(WatchdogWorld::grid(10));
+  EXPECT_EQ(w.services[4]->head_id(), 2);
+}
+
+TEST(Watchdog, SensorPublisherSwitchesToTheTaskOnTheSameGrid) {
+  // A publisher added at 2 s coincides with the beacon task's release on
+  // the grid. The priority-1 beacon job runs first, so the publisher's
+  // first job (500 us) completes at 2.0007 s, 200 us late, exactly as it
+  // would next to a task that had run all along.
+  WatchdogWorld w(isolated_node_4(), {});
+  w.nodes[4]->bind_sensor(0, [] { return 1.0; });
+  w.run_to(util::TimePoint::zero() + util::Duration::seconds(2));
+  ASSERT_TRUE(w.services[4]->add_sensor_publisher(7, 0, util::Duration::seconds(1)));
+  w.run_to(util::TimePoint::zero() + util::Duration::micros(2'000'700) - kNs);
+  EXPECT_EQ(w.task(4, "pub_s7").stats.completions, 0u);
+  EXPECT_EQ(w.task(4, "evm-beacon").stats.completions, 1u);
+  w.run_to(util::TimePoint::zero() + util::Duration::micros(2'000'700));
+  EXPECT_EQ(w.task(4, "pub_s7").stats.completions, 1u);
+  EXPECT_EQ(w.task(4, "pub_s7").stats.worst_response, util::Duration::micros(700));
+  // From here on the task releases on every beat.
+  w.run_to(util::TimePoint::zero() + util::Duration::seconds(5));
+  EXPECT_EQ(w.task(4, "evm-beacon").stats.releases, 4u);
+}
+
+TEST_F(ServiceFixture, WatchdogNodeKeepsTheBeaconShareOfItsKernel) {
+  // Node 4 holds no replica, so it runs the watchdog: its evm-beacon task
+  // never releases, yet the kernel still books its 200 us per 1 s. The
+  // migration capability check reads that utilization.
+  start();
+  run_for(util::Duration::seconds(3));
+  EXPECT_DOUBLE_EQ(nodes[4]->kernel().utilization(), 200e-6);
+  rtos::Scheduler& scheduler = nodes[4]->kernel().scheduler();
+  ASSERT_EQ(scheduler.task_count(), 1u);
+  EXPECT_EQ(scheduler.task(scheduler.task_ids()[0])->stats.releases, 0u);
+}
+
+TEST_F(ServiceFixture, MigratedFunctionSwitchesTheWatchdogToTheTask) {
+  // A replica that migration brings to node 4 starts a control task there,
+  // so node 4 switches to the real evm-beacon task. Its first release is
+  // the next whole second, the grid the task would have released on.
+  start();
+  run_for(util::Duration::seconds(1));
+  std::optional<util::TimePoint> installed;
+  services[4]->set_on_mode_change([&](FunctionId, ControllerMode) {
+    if (!installed) installed = sim.now();
+  });
+  services[2]->replicate_function(kLoop, 4, ControllerMode::kBackup, {});
+  run_for(util::Duration::seconds(20));
+  ASSERT_TRUE(installed.has_value());
+  rtos::Scheduler& scheduler = nodes[4]->kernel().scheduler();
+  const rtos::Tcb* beacon = scheduler.task(scheduler.task_ids()[0]);
+  ASSERT_EQ(beacon->params.name, "evm-beacon");
+  const util::TimePoint first =
+      util::TimePoint::zero() +
+      util::Duration::seconds((installed->ns() + 999'999'999) / 1'000'000'000);
+  // 20 s in, the task has released on every whole second since.
+  EXPECT_EQ(beacon->stats.releases,
+            static_cast<std::uint64_t>((sim.now() - first).ns() / 1'000'000'000 + 1));
+  EXPECT_DOUBLE_EQ(nodes[4]->kernel().utilization(), 200e-6 + 0.02);
 }
 
 }  // namespace
