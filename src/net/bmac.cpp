@@ -80,7 +80,6 @@ void BMac::try_send(int attempt) {
   if (!running_ || sending_) return;
   if (!tx_pending()) return;
   if (attempt > params_.max_backoffs) {
-    ++csma_drops_;
     (void)dequeue();
     if (tx_pending()) try_send(0);
     return;

@@ -31,7 +31,6 @@ class BMac final : public Mac {
   util::Status send(Packet packet) override;
 
   const BMacParams& params() const { return params_; }
-  std::size_t csma_drops() const { return csma_drops_; }
 
  private:
   void sample_channel();
@@ -43,7 +42,6 @@ class BMac final : public Mac {
   bool sampling_ = false;
   bool receiving_ = false;
   bool sending_ = false;
-  std::size_t csma_drops_ = 0;
   sim::EventHandle wake_event_;
   sim::EventHandle rx_timeout_;
 };

@@ -38,7 +38,6 @@ class GilbertElliott {
 
   /// Advance the chain one packet and decide that packet's fate.
   bool drop_next();
-  bool in_bad_state() const { return bad_; }
   /// Long-run average loss rate of this chain (analytic).
   double steady_state_loss() const;
 

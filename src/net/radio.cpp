@@ -140,7 +140,6 @@ bool Radio::transmit_carrier(util::Duration length, std::function<void()> on_don
 bool Radio::channel_busy() const { return medium_.channel_busy(id_); }
 
 void Radio::deliver(const Packet& packet) {
-  ++rx_count_;
   if (receive_handler_) receive_handler_(packet);
 }
 

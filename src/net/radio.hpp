@@ -138,7 +138,6 @@ class Radio {
   void reset_energy(util::TimePoint now);
 
   std::size_t tx_count() const { return tx_count_; }
-  std::size_t rx_count() const { return rx_count_; }
 
  private:
   struct Deferred {
@@ -175,7 +174,6 @@ class Radio {
   std::function<void(const Packet&)> receive_handler_;
   std::function<void()> carrier_handler_;
   std::size_t tx_count_ = 0;
-  std::size_t rx_count_ = 0;
 };
 
 }  // namespace evm::net

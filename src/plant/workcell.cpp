@@ -62,10 +62,6 @@ void AssemblyLine::repair_station(std::size_t station) {
   if (station == 0) try_feed();
 }
 
-bool AssemblyLine::station_faulted(std::size_t station) const {
-  return stations_.at(station).faulted;
-}
-
 void AssemblyLine::set_station_speed(std::size_t station, double factor) {
   stations_.at(station).speed = factor > 0.0 ? factor : 1.0;
 }

@@ -61,7 +61,6 @@ class AssemblyLine {
   /// A faulted station halts (units pile upstream) until repaired.
   void fault_station(std::size_t station);
   void repair_station(std::size_t station);
-  bool station_faulted(std::size_t station) const;
 
   /// Speed factor applied to a station (mode change: slower tooling for a
   /// different chassis, faster during rush orders). 1.0 = nominal.

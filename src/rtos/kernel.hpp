@@ -1,7 +1,7 @@
 // Per-node kernel facade in the shape of nano-RK: task admission gated by
-// schedulability analysis and a RAM budget, reservation-backed execution,
-// and TCB snapshot/restore — the primitive the EVM's task migration,
-// replication and partitioning are built from.
+// schedulability analysis and a RAM budget, CPU-reservation-backed
+// execution, and TCB snapshot/restore — the primitive the EVM's task
+// migration, replication and partitioning are built from.
 #pragma once
 
 #include <memory>

@@ -80,92 +80,4 @@ const CpuReservationParams* ReservationManager::cpu_params(ReservationId id) con
   return it == cpu_.end() ? nullptr : &it->second.params;
 }
 
-util::Result<ReservationId> ReservationManager::create_network(
-    NetworkReservationParams params) {
-  if (params.packets_per_period == 0 || !params.period.is_positive()) {
-    return util::Status::invalid_argument("network reservation invalid");
-  }
-  const ReservationId id = next_id_++;
-  net_[id] = NetRes{params, 0, sim_.now()};
-  return id;
-}
-
-util::Status ReservationManager::destroy_network(ReservationId id) {
-  if (net_.erase(id) == 0) return util::Status::not_found("no such network reservation");
-  return util::Status::ok();
-}
-
-void ReservationManager::roll_net(NetRes& res) const {
-  const util::Duration elapsed = sim_.now() - res.period_start;
-  if (elapsed >= res.params.period) {
-    const std::int64_t periods = elapsed / res.params.period;
-    res.period_start += res.params.period * periods;
-    res.used = 0;
-  }
-}
-
-util::Status ReservationManager::network_consume(ReservationId id) {
-  auto it = net_.find(id);
-  if (it == net_.end()) return util::Status::ok();  // unmetered
-  roll_net(it->second);
-  if (it->second.used >= it->second.params.packets_per_period) {
-    return util::Status::resource_exhausted("network reservation exhausted");
-  }
-  ++it->second.used;
-  return util::Status::ok();
-}
-
-std::uint32_t ReservationManager::network_available(ReservationId id) const {
-  auto it = net_.find(id);
-  if (it == net_.end()) return 0xFFFFFFFF;
-  NetRes res = it->second;
-  roll_net(res);
-  return res.params.packets_per_period - res.used;
-}
-
-util::Result<ReservationId> ReservationManager::create_energy(
-    EnergyReservationParams params) {
-  if (params.budget_mah <= 0.0 || !params.period.is_positive()) {
-    return util::Status::invalid_argument("energy reservation invalid");
-  }
-  const ReservationId id = next_id_++;
-  energy_[id] = EnergyRes{params, 0.0, sim_.now()};
-  return id;
-}
-
-util::Status ReservationManager::destroy_energy(ReservationId id) {
-  if (energy_.erase(id) == 0) {
-    return util::Status::not_found("no such energy reservation");
-  }
-  return util::Status::ok();
-}
-
-void ReservationManager::roll_energy(EnergyRes& res) const {
-  const util::Duration elapsed = sim_.now() - res.period_start;
-  if (elapsed >= res.params.period) {
-    const std::int64_t periods = elapsed / res.params.period;
-    res.period_start += res.params.period * periods;
-    res.used_mah = 0.0;
-  }
-}
-
-util::Status ReservationManager::energy_consume(ReservationId id, double mah) {
-  auto it = energy_.find(id);
-  if (it == energy_.end()) return util::Status::ok();  // unmetered
-  roll_energy(it->second);
-  if (it->second.used_mah + mah > it->second.params.budget_mah + 1e-15) {
-    return util::Status::resource_exhausted("energy reservation exhausted");
-  }
-  it->second.used_mah += mah;
-  return util::Status::ok();
-}
-
-double ReservationManager::energy_available(ReservationId id) const {
-  auto it = energy_.find(id);
-  if (it == energy_.end()) return 1e300;
-  EnergyRes res = it->second;
-  roll_energy(res);
-  return res.params.budget_mah - res.used_mah;
-}
-
 }  // namespace evm::rtos

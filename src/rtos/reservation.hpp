@@ -1,8 +1,7 @@
 // Resource reservations in the spirit of nano-RK's resource kernel: a task
 // attached to a CPU reservation may consume at most `budget` of execution
 // per replenishment `period`; overruns are throttled (the job is suspended
-// until the budget replenishes), never silently allowed. Network and energy
-// reservations meter packets and charge the same way.
+// until the budget replenishes), never silently allowed.
 #pragma once
 
 #include <cstdint>
@@ -26,24 +25,10 @@ struct CpuReservationParams {
   }
 };
 
-struct NetworkReservationParams {
-  std::uint32_t packets_per_period = 4;
-  util::Duration period = util::Duration::seconds(1);
-};
-
-/// nano-RK's "virtual energy reservations" (paper §2.2): an energy budget
-/// enforced per replenishment period so one subsystem cannot drain the
-/// battery past its allocation.
-struct EnergyReservationParams {
-  double budget_mah = 0.01;
-  util::Duration period = util::Duration::seconds(60);
-};
-
 class ReservationManager {
  public:
   explicit ReservationManager(sim::Simulator& sim);
 
-  // --- CPU ---------------------------------------------------------------
   /// Admission-checks against total CPU capacity (sum of utilizations <= 1).
   util::Result<ReservationId> create_cpu(CpuReservationParams params);
   util::Status destroy_cpu(ReservationId id);
@@ -59,45 +44,17 @@ class ReservationManager {
   bool has_cpu(ReservationId id) const;
   const CpuReservationParams* cpu_params(ReservationId id) const;
 
-  // --- Network -------------------------------------------------------------
-  util::Result<ReservationId> create_network(NetworkReservationParams params);
-  util::Status destroy_network(ReservationId id);
-  /// Try to debit one packet; fails when the period's allowance is spent.
-  util::Status network_consume(ReservationId id);
-  std::uint32_t network_available(ReservationId id) const;
-
-  // --- Energy ----------------------------------------------------------------
-  util::Result<ReservationId> create_energy(EnergyReservationParams params);
-  util::Status destroy_energy(ReservationId id);
-  /// Debit charge; fails (without consuming) when the budget cannot cover it.
-  util::Status energy_consume(ReservationId id, double mah);
-  double energy_available(ReservationId id) const;
-
  private:
   struct CpuRes {
     CpuReservationParams params;
     util::Duration used = util::Duration::zero();
     util::TimePoint period_start;
   };
-  struct NetRes {
-    NetworkReservationParams params;
-    std::uint32_t used = 0;
-    util::TimePoint period_start;
-  };
-  struct EnergyRes {
-    EnergyReservationParams params;
-    double used_mah = 0.0;
-    util::TimePoint period_start;
-  };
 
   void roll_cpu(CpuRes& res) const;
-  void roll_net(NetRes& res) const;
-  void roll_energy(EnergyRes& res) const;
 
   sim::Simulator& sim_;
   std::map<ReservationId, CpuRes> cpu_;
-  std::map<ReservationId, NetRes> net_;
-  std::map<ReservationId, EnergyRes> energy_;
   ReservationId next_id_ = 1;
 };
 

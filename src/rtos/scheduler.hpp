@@ -1,6 +1,6 @@
 // Fixed-priority fully preemptive scheduler over virtual time, mirroring
 // nano-RK. Job execution is simulated as virtual-time quanta, so preemption
-// behaviour, response times and reservation enforcement are exact and
+// behaviour, response times and CPU-reservation enforcement are exact and
 // deterministic — a prerequisite for testing the EVM's schedulability-gated
 // task admission and migration.
 #pragma once

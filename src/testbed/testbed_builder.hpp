@@ -87,11 +87,6 @@ class TestbedBuilder {
   /// topology_spec().multi_hop(), as found at build time: routers relay
   /// broadcasts only in multi-hop worlds.
   bool multi_hop() const { return multi_hop_; }
-  /// The shared liveness-aware dissemination tree, or nullptr outside
-  /// tree mode (single-hop / flood worlds).
-  const net::DisseminationTreeCache* dissemination_cache() const {
-    return tree_cache_.get();
-  }
 
   /// The steady-state valve opening computed at initialization (the paper's
   /// 11.48 % figure for their operating point).

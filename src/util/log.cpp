@@ -33,11 +33,7 @@ void Logger::write(LogLevel level, const std::string& tag,
   line += tag;
   line += "] ";
   line += message;
-  if (sink_) {
-    sink_(line);
-  } else {
-    std::fprintf(stderr, "%s\n", line.c_str());
-  }
+  std::fprintf(stderr, "%s\n", line.c_str());
 }
 
 }  // namespace evm::util

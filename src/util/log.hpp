@@ -3,10 +3,9 @@
 //
 // Thread-safety: the logger is a process-wide singleton and campaign/fuzz
 // workers log through it concurrently (every worker runs a full protocol
-// stack), so write() and the setters synchronize on one mutex. That also
-// serializes sink invocation: a test capturing lines into a vector needs no
-// locking of its own. enabled() stays lock-free (relaxed atomic) because it
-// guards every EVM_LOG expansion in hot paths.
+// stack), so write() and set_time_source() synchronize on one mutex.
+// enabled() stays lock-free (relaxed atomic) because it guards every EVM_LOG
+// expansion in hot paths.
 #pragma once
 
 #include <atomic>
@@ -35,12 +34,6 @@ class Logger {
     time_source_ = std::move(source);
   }
 
-  /// Redirect output (tests capture lines this way). nullptr restores stderr.
-  void set_sink(std::function<void(const std::string&)> sink) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    sink_ = std::move(sink);
-  }
-
   bool enabled(LogLevel level) const {
     const LogLevel current = this->level();
     return level >= current && current != LogLevel::kOff;
@@ -50,11 +43,10 @@ class Logger {
  private:
   Logger() = default;
   std::atomic<LogLevel> level_{LogLevel::kWarn};
-  // Serializes write() against the setters (and sink calls against each
-  // other) for the process-wide singleton; campaign workers share it.
+  // Serializes write() against set_time_source() for the process-wide
+  // singleton; campaign workers share it.
   std::mutex mutex_;  // evm-lint: allow(C1)
   std::function<TimePoint()> time_source_;
-  std::function<void(const std::string&)> sink_;
 };
 
 #define EVM_LOG(level, tag, expr)                                         \

@@ -52,7 +52,9 @@ class Interpreter {
   std::vector<std::uint8_t> save_slots() const;
   util::Status load_slots(std::span<const std::uint8_t> bytes);
 
-  /// Register a runtime extension instruction. `slot` in [0, 0x80).
+  /// Register a runtime extension instruction. `slot` in [0, 0x80). This is
+  /// the mechanism the paper calls an instruction set "extensible at
+  /// runtime" (§3.1).
   /// The handler manipulates the value stack directly; leaving more than
   /// ExecLimits::stack_cells cells fails the run with RESOURCE_EXHAUSTED.
   /// A handler must not call run() on this interpreter.

@@ -14,8 +14,6 @@ struct ReservationFixture : ::testing::Test {
   void advance(Duration d) { sim.run_until(sim.now() + d); }
 };
 
-// --- CPU ---------------------------------------------------------------------
-
 TEST_F(ReservationFixture, CpuCreateValidates) {
   EXPECT_FALSE(manager.create_cpu({Duration::zero(), Duration::millis(100)}).ok());
   EXPECT_FALSE(manager.create_cpu({Duration::millis(200), Duration::millis(100)}).ok());
@@ -55,70 +53,6 @@ TEST_F(ReservationFixture, CpuDestroyReleasesUtilization) {
 TEST_F(ReservationFixture, UnknownCpuReservationIsUnlimited) {
   EXPECT_EQ(manager.cpu_available(999), Duration::max());
   EXPECT_EQ(manager.cpu_consume(999, Duration::millis(5)).ms(), 5);
-}
-
-// --- Network -------------------------------------------------------------------
-
-TEST_F(ReservationFixture, NetworkMetersPackets) {
-  auto id = manager.create_network({2, Duration::seconds(1)});
-  ASSERT_TRUE(id.ok());
-  EXPECT_TRUE(manager.network_consume(*id));
-  EXPECT_TRUE(manager.network_consume(*id));
-  EXPECT_FALSE(manager.network_consume(*id));
-  EXPECT_EQ(manager.network_available(*id), 0u);
-  advance(Duration::seconds(1));
-  EXPECT_TRUE(manager.network_consume(*id));
-}
-
-TEST_F(ReservationFixture, NetworkValidates) {
-  EXPECT_FALSE(manager.create_network({0, Duration::seconds(1)}).ok());
-  EXPECT_FALSE(manager.create_network({4, Duration::zero()}).ok());
-}
-
-// --- Energy (nano-RK virtual energy reservations, §2.2) -------------------------
-
-TEST_F(ReservationFixture, EnergyBudgetEnforced) {
-  auto id = manager.create_energy({0.010, Duration::seconds(60)});
-  ASSERT_TRUE(id.ok());
-  EXPECT_TRUE(manager.energy_consume(*id, 0.006));
-  EXPECT_NEAR(manager.energy_available(*id), 0.004, 1e-12);
-  // Overdraw is refused atomically — nothing is consumed.
-  EXPECT_FALSE(manager.energy_consume(*id, 0.005));
-  EXPECT_NEAR(manager.energy_available(*id), 0.004, 1e-12);
-  EXPECT_TRUE(manager.energy_consume(*id, 0.004));
-}
-
-TEST_F(ReservationFixture, EnergyReplenishes) {
-  auto id = manager.create_energy({0.001, Duration::seconds(10)});
-  ASSERT_TRUE(manager.energy_consume(*id, 0.001));
-  EXPECT_FALSE(manager.energy_consume(*id, 0.001));
-  advance(Duration::seconds(10));
-  EXPECT_TRUE(manager.energy_consume(*id, 0.001));
-}
-
-TEST_F(ReservationFixture, EnergyValidatesAndDestroys) {
-  EXPECT_FALSE(manager.create_energy({0.0, Duration::seconds(1)}).ok());
-  EXPECT_FALSE(manager.create_energy({0.1, Duration::zero()}).ok());
-  auto id = manager.create_energy({0.1, Duration::seconds(1)});
-  EXPECT_TRUE(manager.destroy_energy(*id));
-  EXPECT_FALSE(manager.destroy_energy(*id));
-}
-
-TEST_F(ReservationFixture, UnmeteredEnergyAlwaysOk) {
-  EXPECT_TRUE(manager.energy_consume(404, 100.0));
-  EXPECT_GT(manager.energy_available(404), 1e100);
-}
-
-// A realistic sizing check: a 5 % duty-cycled CC2420 radio consumes
-// ~0.94 mA average; a 1-hour energy reservation of 1 mAh should just cover it.
-TEST_F(ReservationFixture, EnergySizingScenario) {
-  auto id = manager.create_energy({1.0, Duration::seconds(3600)});
-  const double mah_per_minute = 18.8 * 0.05 / 60.0;
-  for (int minute = 0; minute < 60; ++minute) {
-    EXPECT_TRUE(manager.energy_consume(*id, mah_per_minute)) << minute;
-  }
-  // The 61st minute of radio activity would exceed the hourly budget.
-  EXPECT_FALSE(manager.energy_consume(*id, mah_per_minute * 5));
 }
 
 }  // namespace

@@ -443,6 +443,31 @@ TEST_F(ServiceFixture, ParametricTriggerSensor) {
   EXPECT_DOUBLE_EQ(services[3]->stream_value(6), 123.0);
 }
 
+TEST_F(ServiceFixture, ParametricSetCpuReservation) {
+  start();
+  run_for(util::Duration::millis(500));
+  ParametricCommandMsg cmd;
+  cmd.op = ParametricCommandMsg::Op::kSetCpuReservation;
+  cmd.arg_a = kLoop;
+  cmd.arg_b = 100;   // period, ms
+  cmd.arg_c = 5000;  // budget, us
+  ASSERT_TRUE(services[1]->send_parametric(2, cmd));
+  run_for(util::Duration::seconds(1));
+  // The control task on node 2 now draws from a reservation of that size.
+  bool found = false;
+  for (rtos::TaskId id : nodes[2]->kernel().scheduler().task_ids()) {
+    const auto* tcb = nodes[2]->kernel().scheduler().task(id);
+    if (tcb->params.name != "loop") continue;
+    found = true;
+    const auto* params =
+        nodes[2]->kernel().reservations().cpu_params(tcb->reservation);
+    ASSERT_NE(params, nullptr);
+    EXPECT_EQ(params->period, util::Duration::millis(100));
+    EXPECT_EQ(params->budget, util::Duration::micros(5000));
+  }
+  EXPECT_TRUE(found);
+}
+
 TEST_F(ServiceFixture, ParametricRejectedFromNonHead) {
   start();
   run_for(util::Duration::millis(500));

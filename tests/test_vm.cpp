@@ -235,6 +235,10 @@ TEST(Interpreter, RuntimeExtensions) {
   }));
   ASSERT_TRUE(h.run("pushi 7\next0\nactuate 0"));
   EXPECT_EQ(h.actuated, 49.0);
+  // A handler's failure fails the run with the handler's own status.
+  const auto status = h.run("ext0");
+  EXPECT_EQ(status.code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(status.message(), "underflow");
 }
 
 TEST(Interpreter, ExtensionSlotConflictRejected) {
