@@ -277,5 +277,86 @@ TEST(Baseline, UpsertPreservesOtherScenarios) {
   EXPECT_TRUE(check_against_baseline(baselines, second).ok);
 }
 
+TEST(Baseline, ReportWithoutScenarioNameIsRefused) {
+  Json baselines = Json::object();
+  ASSERT_TRUE(upsert_baseline(baselines, make_report(8.0, 12.0, 0)));
+  const Json report = make_report(8.0, 12.0, 0);
+  Json unnamed = Json::object();
+  for (const auto& [key, value] : report.members()) {
+    if (key != "scenario") unnamed.set(key, value);
+  }
+  const BaselineCheck check = check_against_baseline(baselines, unnamed);
+  EXPECT_FALSE(check.ok);
+  EXPECT_EQ(check.error, "report lacks a 'scenario' name");
+  const util::Status status = upsert_baseline(baselines, unnamed);
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+}
+
+TEST(Baseline, UnknownScenarioPointsAtRecapture) {
+  Json baselines = Json::object();
+  ASSERT_TRUE(upsert_baseline(baselines, make_report(8.0, 12.0, 0)));
+  Json other = make_report(8.0, 12.0, 0);
+  other.set("scenario", "new-scenario");
+  const BaselineCheck check = check_against_baseline(baselines, other);
+  EXPECT_FALSE(check.ok);
+  EXPECT_NE(check.error.find("no baseline for scenario 'new-scenario'"),
+            std::string::npos)
+      << check.error;
+  EXPECT_NE(check.error.find("--update-baselines"), std::string::npos);
+}
+
+TEST(Baseline, ReportWithoutCampaignEchoIsRefused) {
+  Json baselines = Json::object();
+  ASSERT_TRUE(upsert_baseline(baselines, make_report(8.0, 12.0, 0)));
+  const Json report = make_report(8.0, 12.0, 0);
+  Json bare = Json::object();
+  for (const auto& [key, value] : report.members()) {
+    if (key != "campaign") bare.set(key, value);
+  }
+  const BaselineCheck check = check_against_baseline(baselines, bare);
+  EXPECT_FALSE(check.ok);
+  EXPECT_EQ(check.error, "report lacks campaign/spec echo");
+}
+
+TEST(Baseline, EntryWithoutMetricsIsRefused) {
+  const Json report = make_report(8.0, 12.0, 0);
+  Json entry = make_baseline_entry(report);
+  entry.set("metrics", Json::object());
+  Json scenarios = Json::object();
+  scenarios.set("unit-scenario", std::move(entry));
+  Json baselines = Json::object();
+  baselines.set("schema", 1);
+  baselines.set("scenarios", std::move(scenarios));
+  // An empty gate would pass anything; it is an error instead.
+  const BaselineCheck check = check_against_baseline(baselines, report);
+  EXPECT_FALSE(check.ok);
+  EXPECT_NE(check.error.find("has no metrics"), std::string::npos) << check.error;
+}
+
+TEST(Baseline, TableRendersErrorsMissingMetricsAndFloors) {
+  BaselineCheck refused;
+  refused.error = "report lacks campaign/spec echo";
+  EXPECT_EQ(format_baseline_table(refused, "s"),
+            "baseline check for 's': report lacks campaign/spec echo\n");
+
+  BaselineCheck check;
+  BaselineRow missing;
+  missing.metric = "failover_latency_s.p99";
+  missing.expected = 8.0;
+  missing.missing = true;
+  BaselineRow floor;
+  floor.metric = "timing.sim_slots_per_sec";
+  floor.expected = 100.0;
+  floor.actual = 250.0;
+  floor.is_min = true;
+  floor.ok = true;
+  check.rows = {missing, floor};
+  const std::string table = format_baseline_table(check, "s");
+  EXPECT_NE(table.find("FAIL (metric missing from report)"), std::string::npos) << table;
+  EXPECT_NE(table.find("(floor)  pass"), std::string::npos) << table;
+  EXPECT_NE(table.find("150.000"), std::string::npos) << table;  // floor headroom
+  EXPECT_NE(table.find("baseline check FAILED"), std::string::npos) << table;
+}
+
 }  // namespace
 }  // namespace evm::scenario

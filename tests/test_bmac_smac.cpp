@@ -141,6 +141,52 @@ TEST_F(LplFixture, SMacIdleCostIndependentOfTraffic) {
   EXPECT_GT(idle_duty, 0.08);
 }
 
+TEST_F(LplFixture, BMacStopPowersDownAndEndsSampling) {
+  BMacParams params;
+  params.check_interval = util::Duration::millis(20);
+  BMac a(sim, radio(1), params);
+  a.start();
+  run_for(util::Duration::seconds(1));
+  a.stop();
+  EXPECT_EQ(radio(1).state(), RadioState::kOff);
+  radio(1).reset_energy(sim.now());
+  run_for(util::Duration::seconds(2));
+  // No channel sample wakes the radio after stop.
+  EXPECT_EQ(radio(1).time_in(RadioState::kIdleListen).ns(), 0);
+  EXPECT_EQ(radio(1).state(), RadioState::kOff);
+}
+
+TEST_F(LplFixture, SMacStopPowersDownAndEndsListening) {
+  SMacParams params;
+  params.frame_length = util::Duration::millis(500);
+  params.duty_cycle = 0.5;
+  SMac a(sim, radio(1), params);
+  a.start();
+  run_for(util::Duration::millis(1100));  // inside the third listen window
+  EXPECT_EQ(radio(1).state(), RadioState::kIdleListen);
+  a.stop();
+  EXPECT_EQ(radio(1).state(), RadioState::kOff);
+  radio(1).reset_energy(sim.now());
+  run_for(util::Duration::seconds(3));
+  EXPECT_EQ(radio(1).time_in(RadioState::kIdleListen).ns(), 0);
+}
+
+TEST_F(LplFixture, BMacNotStartedNeverKeysTheRadio) {
+  BMac a(sim, radio(1));
+  BMac b(sim, radio(2));
+  int received = 0;
+  b.set_receive_handler([&](const Packet&) { ++received; });
+  b.start();
+  Packet p;
+  p.dst = 2;
+  // A MAC that was never started queues the packet but never transmits it.
+  ASSERT_TRUE(a.send(p));
+  run_for(util::Duration::seconds(2));
+  EXPECT_EQ(received, 0);
+  EXPECT_EQ(a.stats().sent, 0u);
+  EXPECT_EQ(radio(1).tx_count(), 0u);
+}
+
 TEST_F(LplFixture, MacQueueOverflowReportsError) {
   BMac a(sim, radio(1), {}, /*queue_capacity=*/2);
   a.start();

@@ -5,6 +5,9 @@
 // liveness invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "scenario/invariants.hpp"
 #include "scenario/spec.hpp"
 
@@ -197,6 +200,113 @@ TEST(InvariantMonitor, FailedRunShortCircuitsToRunError) {
   ASSERT_EQ(monitor.violations().size(), 1u);
   EXPECT_EQ(monitor.violations()[0].invariant, "run.error");
   EXPECT_EQ(monitor.violations()[0].detail, "admission rejected");
+}
+
+TEST(InvariantMonitor, NonMemberReplicaIsViolationAndNotLiveness) {
+  const ScenarioSpec spec = spec_with_fault();
+  const auto& members = spec.topology().replica_order();
+  net::NodeId outsider = 1;
+  while (std::find(members.begin(), members.end(), outsider) != members.end()) ++outsider;
+  InvariantMonitor monitor(spec);
+  InvariantMonitor::ProbeSample s;
+  InvariantMonitor::ReplicaProbe replica;
+  replica.node = outsider;
+  replica.alive = true;
+  replica.mode = core::ControllerMode::kActive;
+  s.replicas.push_back(replica);
+  // The outsider's Active claim is reported and does not keep the loop
+  // alive: the run ends with no live Active replica in the VC.
+  monitor.on_probe(1.0, s);
+  monitor.on_finish(ok_metrics());
+  ASSERT_TRUE(has_violation(monitor, "sanity.nonmember_replica"));
+  EXPECT_TRUE(has_violation(monitor, "liveness.active_at_end"));
+  EXPECT_NE(monitor.violations()[0].detail.find(std::to_string(outsider)),
+            std::string::npos);
+}
+
+TEST(InvariantMonitor, CrashedActiveReplicaDoesNotCountAsLive) {
+  const ScenarioSpec spec = spec_with_fault();
+  InvariantMonitor monitor(spec);
+  InvariantMonitor::ProbeSample s = probe(spec, true);
+  s.replicas[0].alive = false;  // crash-stopped while its mode reads Active
+  for (double t = 0.5; t <= 30.0; t += 0.5) monitor.on_probe(t, s);
+  monitor.on_finish(ok_metrics());
+  EXPECT_TRUE(has_violation(monitor, "liveness.active_gap"));
+  EXPECT_TRUE(has_violation(monitor, "liveness.active_at_end"));
+  EXPECT_DOUBLE_EQ(monitor.max_active_gap_s(), 30.0);
+}
+
+TEST(InvariantMonitor, DeadlineAndReleaseCountersMustNotFall) {
+  const ScenarioSpec spec = spec_with_fault();
+  for (const bool releases : {false, true}) {
+    InvariantMonitor monitor(spec);
+    InvariantMonitor::ProbeSample a = probe(spec, true);
+    a.missed_deadlines = 10;
+    a.task_releases = 50;
+    monitor.on_probe(1.0, a);
+    InvariantMonitor::ProbeSample b = a;
+    if (releases) {
+      b.task_releases = 49;
+    } else {
+      b.missed_deadlines = 9;
+    }
+    monitor.on_probe(2.0, b);
+    ASSERT_TRUE(has_violation(monitor, "sanity.counter_monotone")) << releases;
+    EXPECT_NE(monitor.violations()[0].detail.find(releases ? "task_releases"
+                                                           : "missed_deadlines"),
+              std::string::npos);
+    EXPECT_DOUBLE_EQ(monitor.violations()[0].at_s, 2.0);
+  }
+}
+
+TEST(InvariantMonitor, EndOfRunLevelExcursionIsViolation) {
+  const ScenarioSpec spec = spec_with_fault();
+  InvariantMonitor monitor(spec);
+  monitor.on_probe(39.5, probe(spec, true));
+  RunMetrics m = ok_metrics();
+  m.level_max_dev_pct = kMaxLevelDevPct;  // at the bound: allowed
+  monitor.on_finish(m);
+  EXPECT_TRUE(monitor.ok());
+  InvariantMonitor over(spec);
+  over.on_probe(39.5, probe(spec, true));
+  m.level_max_dev_pct = kMaxLevelDevPct + 1.0;
+  over.on_finish(m);
+  ASSERT_EQ(over.violations().size(), 1u);
+  EXPECT_EQ(over.violations()[0].invariant, "safety.level_deviation");
+  EXPECT_DOUBLE_EQ(over.violations()[0].at_s, -1.0);
+}
+
+TEST(InvariantMonitor, ToJsonReportsVerdictGapAndViolations) {
+  const ScenarioSpec spec = spec_with_fault();
+  InvariantMonitor monitor(spec);
+  monitor.on_probe(4.0, probe(spec, false));
+  monitor.on_level(5.0, 99.0);
+  EXPECT_EQ(monitor.checks_performed(), 2u);
+  const util::Json j = monitor.to_json();
+  ASSERT_NE(j.find("ok"), nullptr);
+  EXPECT_FALSE(j.find("ok")->as_bool(true));
+  EXPECT_DOUBLE_EQ(j.find("max_active_gap_s")->as_double(), 4.0);
+  const util::Json* list = j.find("violations");
+  ASSERT_NE(list, nullptr);
+  ASSERT_EQ(list->size(), 1u);
+  EXPECT_EQ(list->at(0).find("invariant")->as_string(), "safety.level_deviation");
+  EXPECT_DOUBLE_EQ(list->at(0).find("at_s")->as_double(), 5.0);
+  EXPECT_FALSE(list->at(0).find("detail")->as_string().empty());
+}
+
+TEST(CheckedRun, ToJsonCarriesMetricsAndViolations) {
+  CheckedRun run;
+  run.metrics = ok_metrics();
+  run.metrics.seed = 9;
+  EXPECT_TRUE(run.ok());
+  EXPECT_TRUE(run.to_json().find("ok")->as_bool(false));
+  run.violations.push_back({"run.error", -1.0, "boom"});
+  const util::Json j = run.to_json();
+  EXPECT_FALSE(run.ok());
+  EXPECT_FALSE(j.find("ok")->as_bool(true));
+  EXPECT_EQ(j.find("metrics")->find("seed")->as_int(), 9);
+  ASSERT_EQ(j.find("violations")->size(), 1u);
+  EXPECT_EQ(j.find("violations")->at(0).find("detail")->as_string(), "boom");
 }
 
 // --- full-stack check_scenario runs ----------------------------------------

@@ -73,6 +73,32 @@ TEST(Metrics, EmptyRegistrySnapshotsEmptySections) {
   ASSERT_TRUE(parsed.ok());
 }
 
+TEST(Metrics, ClearDropsEveryInstrument) {
+  obs::Metrics m;
+  m.counter("a").add(3);
+  m.gauge("b").set(1.0);
+  m.histogram("c").record(2.0);
+  ASSERT_FALSE(m.empty());
+  m.clear();
+  EXPECT_TRUE(m.empty());
+  EXPECT_EQ(m.find_counter("a"), nullptr);
+  EXPECT_EQ(m.find_gauge("b"), nullptr);
+  EXPECT_EQ(m.find_histogram("c"), nullptr);
+  // A name looked up again after clear() starts from zero.
+  EXPECT_EQ(m.counter("a").value, 0u);
+}
+
+TEST(Metrics, HistogramFirstSampleSetsBothBounds) {
+  obs::Histogram h;
+  EXPECT_DOUBLE_EQ(h.mean(), 0.0);
+  // Negative samples: the zero-initialized bounds must not leak into max.
+  h.record(-4.0);
+  h.record(-2.0);
+  EXPECT_DOUBLE_EQ(h.min, -4.0);
+  EXPECT_DOUBLE_EQ(h.max, -2.0);
+  EXPECT_DOUBLE_EQ(h.mean(), -3.0);
+}
+
 // --- trace recorder ----------------------------------------------------------
 
 obs::TraceRecorder make_recorder() {

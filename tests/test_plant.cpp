@@ -85,6 +85,17 @@ TEST(SecondOrderFilter, SmoothsFasterInputLessThanSlower) {
   EXPECT_GT(yf, ys);  // shorter time constant tracks faster
 }
 
+TEST(SecondOrderFilter, ResetReinitializesToTheNextSample) {
+  SecondOrderFilter f(5.0);
+  f.step(0.0, 0.1);
+  f.step(10.0, 0.1);
+  f.reset(7.0);
+  EXPECT_DOUBLE_EQ(f.value(), 7.0);
+  // After reset the next sample seeds both stages, as on first use.
+  EXPECT_DOUBLE_EQ(f.step(30.0, 0.1), 30.0);
+  EXPECT_LT(f.step(0.0, 0.1), 30.0);
+}
+
 // --- Blocks --------------------------------------------------------------------
 
 TEST(FirstOrderLag, StepResponseTimeConstant) {

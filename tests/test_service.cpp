@@ -984,5 +984,103 @@ TEST_F(ServiceFixture, MigratedFunctionSwitchesTheWatchdogToTheTask) {
   EXPECT_DOUBLE_EQ(nodes[4]->kernel().utilization(), 200e-6 + 0.02);
 }
 
+TEST_F(ServiceFixture, MigratingAFunctionNotHeldFails) {
+  // The head (node 1) holds no replica of the loop.
+  start();
+  run_for(util::Duration::seconds(1));
+  std::optional<MigrationOutcome> outcome;
+  services[1]->migrate_function(kLoop, 4, ControllerMode::kActive,
+                                [&](const MigrationOutcome& o) { outcome = o; });
+  ASSERT_TRUE(outcome.has_value());  // reported at once, nothing sent
+  EXPECT_FALSE(outcome->success);
+  EXPECT_EQ(outcome->failure, "function not held on this node");
+  EXPECT_EQ(services[1]->migration().sessions_initiated(), 0u);
+  run_for(util::Duration::seconds(5));
+  EXPECT_EQ(services[4]->mode(kLoop), ControllerMode::kDormant);
+}
+
+TEST_F(ServiceFixture, RebalanceKeepsAFunctionThatIsAlreadyPlaced) {
+  // One light function on a node of its own: moving it only costs the
+  // keep_cost, so the optimizer leaves it where it runs.
+  start();
+  run_for(util::Duration::seconds(1));
+  EXPECT_EQ(services[1]->rebalance(), 0u);
+  run_for(util::Duration::seconds(2));
+  EXPECT_EQ(services[2]->mode(kLoop), ControllerMode::kActive);
+  EXPECT_EQ(services[1]->failovers().size(), 0u);
+}
+
+TEST(Rebalance, SpreadsHeadHeldFunctionsOntoJoinedMembers) {
+  // Four functions (U = 0.2 each) start on the head, the only member. Two
+  // controllers join through membership hellos; the head's rebalance
+  // migrates functions onto them, state and all.
+  sim::Simulator sim(11);
+  net::Topology topo = net::Topology::full_mesh({1, 2, 3});
+  net::Medium medium(sim, topo);
+  net::RtLinkSchedule schedule(6, util::Duration::millis(5));
+  schedule.assign_tx(0, 1);
+  schedule.assign_tx(1, 2);
+  schedule.assign_tx(2, 3);
+  schedule.assign_tx(3, 1);
+  net::TimeSync sync(sim);
+
+  VcDescriptor vc;
+  vc.id = 2;
+  vc.head = 1;
+  vc.members = {1};
+  constexpr int kFunctions = 4;
+  for (int f = 1; f <= kFunctions; ++f) {
+    ControlFunction fn;
+    fn.id = static_cast<FunctionId>(f);
+    fn.name = "loop-" + std::to_string(f);
+    fn.sensor_stream = static_cast<std::uint8_t>(f);
+    fn.actuator_channel = static_cast<std::uint8_t>(f);
+    fn.task.name = fn.name;
+    fn.task.period = util::Duration::millis(500);
+    fn.task.wcet = util::Duration::millis(100);
+    fn.task.priority = static_cast<rtos::Priority>(8 + f);
+    fn.algorithm = *make_passthrough(static_cast<std::uint16_t>(f), fn.sensor_stream,
+                                     fn.actuator_channel);
+    vc.functions[fn.id] = fn;
+    vc.replicas[fn.id] = {1};
+  }
+
+  std::map<net::NodeId, std::unique_ptr<Node>> nodes;
+  std::map<net::NodeId, std::unique_ptr<EvmService>> services;
+  for (net::NodeId id : {1, 2, 3}) {
+    NodeConfig config;
+    config.id = id;
+    nodes[id] = std::make_unique<Node>(sim, medium, schedule, sync, config);
+    services[id] = std::make_unique<EvmService>(*nodes[id], vc);
+  }
+  sync.start();
+  for (net::NodeId id : {1, 2, 3}) ASSERT_TRUE(services[id]->start());
+  const auto at = [](int s) { return util::TimePoint::zero() + util::Duration::seconds(s); };
+
+  sim.run_until(at(2));
+  const double head_before = nodes[1]->kernel().utilization();
+  EXPECT_GT(head_before, 0.8);
+  services[2]->announce_membership();
+  services[3]->announce_membership();
+  sim.run_until(at(4));
+  ASSERT_EQ(services[1]->members().size(), 3u);
+
+  const std::size_t moved = services[1]->rebalance();
+  EXPECT_GE(moved, 2u);
+  sim.run_until(at(30));
+  EXPECT_EQ(services[1]->migration().sessions_completed(), moved);
+  EXPECT_LT(nodes[1]->kernel().utilization(), head_before - 0.3);
+  // Each joiner now runs at least one function, and every function has
+  // exactly one Active replica.
+  for (net::NodeId id : {2, 3}) EXPECT_GT(nodes[id]->kernel().utilization(), 0.1) << id;
+  for (int f = 1; f <= kFunctions; ++f) {
+    int active = 0;
+    for (net::NodeId id : {1, 2, 3}) {
+      active += services[id]->mode(static_cast<FunctionId>(f)) == ControllerMode::kActive;
+    }
+    EXPECT_EQ(active, 1) << "function " << f;
+  }
+}
+
 }  // namespace
 }  // namespace evm::core

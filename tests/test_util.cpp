@@ -5,6 +5,7 @@
 #include "util/bytes.hpp"
 #include "util/crc.hpp"
 #include "util/hash.hpp"
+#include "util/log.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
@@ -369,6 +370,91 @@ TEST(Result, HoldsError) {
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
   EXPECT_EQ(r.value_or(9), 9);
+}
+
+TEST(Status, FactoriesCarryTheirCodeNames) {
+  const std::pair<Status, const char*> cases[] = {
+      {Status::invalid_argument("m"), "INVALID_ARGUMENT: m"},
+      {Status::not_found("m"), "NOT_FOUND: m"},
+      {Status::already_exists("m"), "ALREADY_EXISTS: m"},
+      {Status::failed_precondition("m"), "FAILED_PRECONDITION: m"},
+      {Status::unavailable("m"), "UNAVAILABLE: m"},
+      {Status::deadline_exceeded("m"), "DEADLINE_EXCEEDED: m"},
+      {Status::data_loss("m"), "DATA_LOSS: m"},
+      {Status::internal("m"), "INTERNAL: m"},
+  };
+  for (const auto& [status, text] : cases) {
+    EXPECT_FALSE(status);
+    EXPECT_EQ(status.message(), "m");
+    EXPECT_EQ(status.to_string(), text);
+  }
+  EXPECT_STREQ(to_string(StatusCode::kUnimplemented), "UNIMPLEMENTED");
+}
+
+// --- Logger -------------------------------------------------------------------
+
+/// The logger is a process-wide singleton: each test restores the default
+/// level and drops any time source it installed.
+struct LoggerFixture : ::testing::Test {
+  Logger& log = Logger::instance();
+  ~LoggerFixture() override {
+    log.set_level(LogLevel::kWarn);
+    log.set_time_source(nullptr);
+  }
+};
+
+TEST_F(LoggerFixture, DefaultLevelIsWarn) {
+  EXPECT_EQ(log.level(), LogLevel::kWarn);
+  EXPECT_FALSE(log.enabled(LogLevel::kInfo));
+  EXPECT_TRUE(log.enabled(LogLevel::kWarn));
+  EXPECT_TRUE(log.enabled(LogLevel::kError));
+}
+
+TEST_F(LoggerFixture, LevelGatesLowerSeverities) {
+  log.set_level(LogLevel::kDebug);
+  EXPECT_FALSE(log.enabled(LogLevel::kTrace));
+  EXPECT_TRUE(log.enabled(LogLevel::kDebug));
+  EXPECT_TRUE(log.enabled(LogLevel::kError));
+  log.set_level(LogLevel::kOff);
+  for (LogLevel level : {LogLevel::kTrace, LogLevel::kDebug, LogLevel::kInfo,
+                         LogLevel::kWarn, LogLevel::kError, LogLevel::kOff}) {
+    EXPECT_FALSE(log.enabled(level));
+  }
+}
+
+TEST_F(LoggerFixture, DisabledMacroDoesNotEvaluateItsMessage) {
+  int evaluated = 0;
+  auto message = [&] {
+    ++evaluated;
+    return "x";
+  };
+  testing::internal::CaptureStderr();
+  EVM_DEBUG("test", message());
+  EXPECT_EQ(evaluated, 0);
+  EVM_ERROR("test", message());
+  EXPECT_EQ(evaluated, 1);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "[ERROR] [test] x\n");
+}
+
+TEST_F(LoggerFixture, WriteFormatsLevelTagAndMessage) {
+  testing::internal::CaptureStderr();
+  log.write(LogLevel::kTrace, "a", "one");
+  log.write(LogLevel::kDebug, "b", "two");
+  log.write(LogLevel::kInfo, "c", "three");
+  log.write(LogLevel::kWarn, "d", "four");
+  log.write(LogLevel::kOff, "e", "never");
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "[TRACE] [a] one\n[DEBUG] [b] two\n[INFO] [c] three\n[WARN] [d] four\n");
+}
+
+TEST_F(LoggerFixture, TimeSourcePrefixesVirtualSeconds) {
+  log.set_time_source([] { return TimePoint::zero() + Duration::millis(1500); });
+  testing::internal::CaptureStderr();
+  EVM_WARN("net", "late " << 3);
+  log.set_time_source(nullptr);
+  EVM_WARN("net", "untimed");
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "[    1.500000] [WARN] [net] late 3\n[WARN] [net] untimed\n");
 }
 
 }  // namespace

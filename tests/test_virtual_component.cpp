@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <set>
+#include <string>
+
 #include "core/virtual_component.hpp"
 
 namespace evm::core {
@@ -52,6 +56,26 @@ TEST(TransferType, Names) {
   EXPECT_STREQ(to_string(TransferType::kTemporalConditional), "temporal-conditional");
   EXPECT_STREQ(to_string(TransferType::kCausalConditional), "causal-conditional");
   EXPECT_STREQ(to_string(TransferType::kHealthAssessment), "health-assessment");
+  EXPECT_STREQ(to_string(FaultResponse::kFailSafe), "fail-safe");
+}
+
+TEST(TransferType, EveryTypeHasADistinctName) {
+  const TransferType types[] = {
+      TransferType::kDisjoint,           TransferType::kDirectional,
+      TransferType::kBidirectional,      TransferType::kTemporalConditional,
+      TransferType::kCausalConditional,  TransferType::kHealthAssessment};
+  std::set<std::string> names;
+  for (TransferType type : types) names.insert(to_string(type));
+  EXPECT_EQ(names.size(), std::size(types));
+  EXPECT_EQ(names.count("directional"), 1u);
+  EXPECT_EQ(names.count("bidirectional"), 1u);
+  EXPECT_EQ(names.count("?"), 0u);
+}
+
+TEST(FaultResponse, Names) {
+  EXPECT_STREQ(to_string(FaultResponse::kAlert), "alert");
+  EXPECT_STREQ(to_string(FaultResponse::kTriggerBackup), "trigger-backup");
+  EXPECT_STREQ(to_string(FaultResponse::kHalt), "halt");
   EXPECT_STREQ(to_string(FaultResponse::kFailSafe), "fail-safe");
 }
 

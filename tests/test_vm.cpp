@@ -71,6 +71,49 @@ TEST(Assembler, DisassembleRoundTrips) {
   EXPECT_NE(listing.find("halt"), std::string::npos);
 }
 
+TEST(Assembler, PushNeedsANumericImmediate) {
+  auto code = assemble("push level");
+  ASSERT_FALSE(code.ok());
+  EXPECT_EQ(code.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(code.status().message().find("push needs a number at line 1"),
+            std::string::npos);
+}
+
+TEST(Assembler, NonBranchOperandsMustBeNumeric) {
+  // Only branches and calls take a label; pushi (2-byte) and load (1-byte)
+  // operands are numbers.
+  for (const char* source : {"nop\npushi target", "nop\nload slot"}) {
+    auto code = assemble(source);
+    ASSERT_FALSE(code.ok()) << source;
+    EXPECT_NE(code.status().message().find("numeric operand expected at line 2"),
+              std::string::npos)
+        << code.status().to_string();
+  }
+}
+
+TEST(Assembler, ExtraTokenAfterOperandFails) {
+  auto code = assemble("pushi 5 6");
+  ASSERT_FALSE(code.ok());
+  EXPECT_NE(code.status().message().find("trailing tokens at line 1"),
+            std::string::npos);
+  EXPECT_TRUE(assemble("pushi 5 ; comment").ok());
+}
+
+TEST(Assembler, DisassembleShowsImmediatesAndUnknownBytes) {
+  auto code = assemble("push 2.5\npushi -3\nstore 4\next7\n");
+  ASSERT_TRUE(code.ok()) << code.status().to_string();
+  std::vector<std::uint8_t> bytes = *code;
+  bytes.push_back(0x04);  // no opcode is assigned to 0x04
+  bytes.push_back(static_cast<std::uint8_t>(Op::kPushSmall));  // truncated operand
+  const std::string listing = disassemble(bytes);
+  EXPECT_NE(listing.find("0:\tpush 2.5\n"), std::string::npos) << listing;
+  EXPECT_NE(listing.find("9:\tpushi -3\n"), std::string::npos) << listing;
+  EXPECT_NE(listing.find("12:\tstore 4\n"), std::string::npos) << listing;
+  EXPECT_NE(listing.find("14:\text7\n"), std::string::npos) << listing;
+  EXPECT_NE(listing.find("15:\t??? 0x4\n"), std::string::npos) << listing;
+  EXPECT_NE(listing.find("16:\tpushi\n"), std::string::npos) << listing;
+}
+
 TEST(Interpreter, Arithmetic) {
   VmHarness h;
   ASSERT_TRUE(h.run("pushi 7\npushi 3\nsub\npushi 5\nmul\nactuate 0\nhalt"));
