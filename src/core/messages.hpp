@@ -32,10 +32,9 @@ enum class MsgType : std::uint8_t {
   kHeadBeacon = 0x14,
   // Fault plane
   kFaultReport = 0x20,
-  // Parametric + programmable control (paper §4: "remote runtime triggering
-  // of individual sensor drivers, modification of task reservations and
-  // network time-slot assignment"; §3.1: runtime-extensible algorithms)
-  kParametricCommand = 0x40,
+  // Programmable control (paper §3.1: runtime-extensible algorithms). The
+  // paper's §4 parametric control (remote sensor triggering, reservation
+  // and slot changes) is not modelled.
   kAlgorithmUpdate = 0x41,
   // Migration protocol
   kMigrationOffer = 0x30,
@@ -198,27 +197,6 @@ struct MembershipHelloMsg : Wire<MembershipHelloMsg> {
   template <typename M, typename F>
   static void fields(M& m, F&& f) {
     f(m.vc, m.node, m.cpu_headroom, m.ram_free, m.battery_percent);
-  }
-};
-
-/// Parametric control: a pre-defined EVM library operation applied remotely
-/// (only commands originating at the VC head are honoured).
-struct ParametricCommandMsg : Wire<ParametricCommandMsg> {
-  enum class Op : std::uint8_t {
-    kSetTaskPriority = 1,    // a = function, b = new priority
-    kSetSlotAssignment = 2,  // a = slot index, b = transmitter node
-    kTriggerSensor = 3,      // a = sensor channel, b = stream to publish on
-    kSetCpuReservation = 4,  // a = function, b = period ms, c = budget us
-  };
-  VcId vc = 0;
-  Op op = Op::kTriggerSensor;
-  std::uint16_t arg_a = 0;
-  std::uint16_t arg_b = 0;
-  std::int64_t arg_c = 0;
-
-  template <typename M, typename F>
-  static void fields(M& m, F&& f) {
-    f(m.vc, m.op, m.arg_a, m.arg_b, m.arg_c);
   }
 };
 

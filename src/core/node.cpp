@@ -13,7 +13,7 @@ Node::Node(sim::Simulator& sim, net::Medium& medium, net::RtLinkSchedule& schedu
   radio_ = std::make_unique<net::Radio>(sim, medium, config_.id, config_.radio);
   mac_ = std::make_unique<net::RtLink>(sim, *radio_, clock_, schedule);
   router_ = std::make_unique<net::Router>(*mac_, medium.topology());
-  kernel_ = std::make_unique<rtos::Kernel>(sim, config_.kernel);
+  kernel_ = std::make_unique<rtos::Kernel>(sim);
   timesync.attach(config_.id, clock_);
 }
 

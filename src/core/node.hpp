@@ -22,7 +22,6 @@ struct NodeConfig {
   net::NodeId id = 0;
   double clock_drift_ppm = 20.0;
   net::RadioParams radio;
-  rtos::KernelConfig kernel;
   /// Battery capacity for lifetime projections (2x AA ≈ 2500 mAh).
   double battery_mah = 2500.0;
 };

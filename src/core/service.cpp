@@ -412,7 +412,6 @@ void EvmService::on_datagram(const net::Datagram& d) {
     case MsgType::kFaultReport: handle_fault_report(d); break;
     case MsgType::kMembershipHello: handle_membership_hello(d); break;
     case MsgType::kHeadBeacon: handle_head_beacon(d); break;
-    case MsgType::kParametricCommand: handle_parametric(d); break;
     case MsgType::kAlgorithmUpdate: handle_algorithm_update(d); break;
     case MsgType::kMigrationOffer:
     case MsgType::kMigrationAccept:
@@ -845,64 +844,6 @@ std::size_t EvmService::rebalance(double keep_cost) {
     }
   }
   return moved;
-}
-
-util::Status EvmService::send_parametric(net::NodeId target,
-                                         const ParametricCommandMsg& cmd) {
-  if (!is_head()) {
-    return util::Status::failed_precondition("only the VC head issues commands");
-  }
-  ParametricCommandMsg msg = cmd;
-  msg.vc = descriptor_.id;
-  if (target == node_.id()) {
-    handle_parametric(net::Datagram{
-        node_.id(), node_.id(),
-        static_cast<std::uint8_t>(MsgType::kParametricCommand), 0, 0, false, {},
-        msg.encode()});
-    return util::Status::ok();
-  }
-  return node_.router().send(
-      target, static_cast<std::uint8_t>(MsgType::kParametricCommand), msg.encode());
-}
-
-void EvmService::handle_parametric(const net::Datagram& d) {
-  if (d.source != head_id_) return;  // head-only authority
-  ParametricCommandMsg cmd;
-  if (!ParametricCommandMsg::decode(d.payload, cmd) || cmd.vc != descriptor_.id) {
-    return;
-  }
-  switch (cmd.op) {
-    case ParametricCommandMsg::Op::kSetTaskPriority: {
-      auto it = functions_.find(cmd.arg_a);
-      if (it == functions_.end()) return;
-      (void)node_.kernel().scheduler().set_priority(
-          it->second.task, static_cast<rtos::Priority>(cmd.arg_b));
-      break;
-    }
-    case ParametricCommandMsg::Op::kSetSlotAssignment: {
-      node_.mac().schedule_ref().assign_tx(cmd.arg_a,
-                                           static_cast<net::NodeId>(cmd.arg_b));
-      break;
-    }
-    case ParametricCommandMsg::Op::kTriggerSensor: {
-      if (!node_.has_sensor(static_cast<std::uint8_t>(cmd.arg_a))) return;
-      publish_sensor(static_cast<std::uint8_t>(cmd.arg_b),
-                     node_.read_sensor(static_cast<std::uint8_t>(cmd.arg_a)));
-      break;
-    }
-    case ParametricCommandMsg::Op::kSetCpuReservation: {
-      auto it = functions_.find(cmd.arg_a);
-      if (it == functions_.end()) return;
-      rtos::CpuReservationParams params;
-      params.period = util::Duration::millis(cmd.arg_b);
-      params.budget = util::Duration::micros(cmd.arg_c);
-      auto res = node_.kernel().reservations().create_cpu(params);
-      if (res) {
-        (void)node_.kernel().scheduler().bind_reservation(it->second.task, *res);
-      }
-      break;
-    }
-  }
 }
 
 util::Status EvmService::disseminate_algorithm(FunctionId function,

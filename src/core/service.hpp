@@ -111,10 +111,7 @@ class EvmService {
                           std::function<void(const MigrationOutcome&)> on_done);
   MigrationEngine& migration() { return migration_; }
 
-  // --- Parametric & programmable control ------------------------------------
-  /// Send a pre-defined EVM library operation to `target` (head-only; the
-  /// receiver discards commands not originating from its head).
-  util::Status send_parametric(net::NodeId target, const ParametricCommandMsg& cmd);
+  // --- Programmable control --------------------------------------------------
   /// Broadcast a new algorithm version for `function`; every replica
   /// attests and hot-swaps it if the version is newer, keeping VM state.
   util::Status disseminate_algorithm(FunctionId function, const vm::Capsule& capsule);
@@ -216,7 +213,6 @@ class EvmService {
   /// log its cause, record its failover, send (or self-apply) its mode
   /// commands and schedule its deadlines.
   void apply(const HeadArbiter::Decision& decision);
-  void handle_parametric(const net::Datagram& d);
   void handle_algorithm_update(const net::Datagram& d);
   void transfer_function(FunctionId function, net::NodeId dest,
                          ControllerMode target_mode, bool deactivate_source,

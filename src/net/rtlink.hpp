@@ -37,9 +37,8 @@
 
 namespace evm::net {
 
-/// Global slot schedule shared by every RT-Link node in one network. The
-/// EVM's "network time-slot assignment" parametric operation mutates this
-/// at runtime; nodes pick the change up at their next frame boundary.
+/// Global slot schedule shared by every RT-Link node in one network. A change
+/// made at runtime takes effect at each node's next frame boundary.
 class RtLinkSchedule {
  public:
   RtLinkSchedule(int slots_per_frame, util::Duration slot_length,
@@ -89,10 +88,6 @@ class RtLink final : public Mac {
   void start() override;
   void stop() override;
   util::Status send(Packet packet) override;
-
-  /// The shared slot schedule (the EVM's parametric slot-assignment
-  /// operation mutates it through this).
-  RtLinkSchedule& schedule_ref() { return schedule_; }
 
   /// End-to-end worst-case queueing delay for one packet given the node's
   /// current slot allocation: one full frame if a single slot is owned.

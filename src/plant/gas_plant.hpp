@@ -1,8 +1,8 @@
 // The natural-gas processing plant of the paper's Fig. 4: multiple raw feed
 // streams -> inlet separator -> gas/gas exchanger -> chiller -> low-
 // temperature separator; LTS + separator liquids mix into the tower feed of
-// the depropanizer. Variables are exposed through a name registry so the
-// ModBus gateway can map them onto registers.
+// the depropanizer. Variables are exposed through a name registry, which
+// the HIL harness records from.
 #pragma once
 
 #include <functional>
@@ -56,7 +56,7 @@ class GasPlant {
   /// Steady-state valve opening balancing current liquid inflow at `level`.
   double steady_lts_opening(double level_percent) const;
 
-  // --- Variable registry for the gateway --------------------------------------
+  // --- Variable registry ------------------------------------------------------
   /// Readable process variables by name.
   double read(const std::string& name) const;
   /// Writable inputs by name ("LTSValve.Opening", "Feed.MolarFlow", ...).

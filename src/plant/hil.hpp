@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "plant/gas_plant.hpp"
-#include "plant/modbus.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace.hpp"
 
@@ -31,8 +30,6 @@ class HilHarness {
   void start();
   void stop();
 
-  ModbusGateway& modbus() { return modbus_; }
-
   /// Record `variable` into the trace under `series` once per record period.
   void record(const std::string& series, const std::string& variable);
   sim::Trace& trace() { return trace_; }
@@ -51,7 +48,6 @@ class HilHarness {
   sim::Simulator& sim_;
   GasPlant& plant_;
   Config config_;
-  ModbusGateway modbus_;
   sim::Trace trace_;
   std::vector<std::pair<std::string, std::string>> recordings_;
   std::vector<std::function<void()>> hooks_;

@@ -1,7 +1,5 @@
 #include "rtos/kernel.hpp"
 
-#include "util/log.hpp"
-
 namespace evm::rtos {
 
 std::vector<std::uint8_t> TaskSnapshot::encode() const {
@@ -17,9 +15,6 @@ std::vector<std::uint8_t> TaskSnapshot::encode() const {
   w.u32(registers.pc);
   w.u32(registers.sp);
   w.bytes(std::span<const std::uint8_t>(registers.gp.data(), registers.gp.size()));
-  w.u8(has_cpu_reservation ? 1 : 0);
-  w.i64(cpu_reservation.budget.ns());
-  w.i64(cpu_reservation.period.ns());
   return w.take();
 }
 
@@ -39,14 +34,10 @@ bool TaskSnapshot::decode(std::span<const std::uint8_t> bytes, TaskSnapshot& out
   if (gp.size() == out.registers.gp.size()) {
     std::copy(gp.begin(), gp.end(), out.registers.gp.begin());
   }
-  out.has_cpu_reservation = r.u8() != 0;
-  out.cpu_reservation.budget = util::Duration(r.i64());
-  out.cpu_reservation.period = util::Duration(r.i64());
   return r.ok();
 }
 
-Kernel::Kernel(sim::Simulator& sim, KernelConfig config)
-    : sim_(sim), config_(config), reservations_(sim), scheduler_(sim, &reservations_) {}
+Kernel::Kernel(sim::Simulator& sim) : scheduler_(sim) {}
 
 AnalysisResult Kernel::analyze_with(const TaskParams* extra) const {
   std::vector<AnalysisTask> tasks;
@@ -59,12 +50,7 @@ AnalysisResult Kernel::analyze_with(const TaskParams* extra) const {
     tasks.push_back(AnalysisTask{extra->wcet, extra->period, extra->deadline,
                                  extra->priority});
   }
-  switch (config_.test) {
-    case KernelConfig::Test::kLiuLayland: return liu_layland_test(tasks);
-    case KernelConfig::Test::kHyperbolic: return hyperbolic_test(tasks);
-    case KernelConfig::Test::kResponseTime: return response_time_analysis(tasks);
-  }
-  return {};
+  return response_time_analysis(tasks);
 }
 
 bool Kernel::admissible(const TaskParams& candidate) const {
@@ -98,17 +84,6 @@ util::Status Kernel::start_task(TaskId id) { return scheduler_.activate(id); }
 
 util::Status Kernel::stop_task(TaskId id) { return scheduler_.deactivate(id); }
 
-util::Status Kernel::remove_task(TaskId id) { return scheduler_.remove_task(id); }
-
-util::Status Kernel::reserve_cpu(TaskId id) {
-  Tcb* tcb = scheduler_.task(id);
-  if (tcb == nullptr) return util::Status::not_found("no such task");
-  auto res = reservations_.create_cpu(
-      CpuReservationParams{tcb->params.wcet, tcb->params.period});
-  if (!res) return res.status();
-  return scheduler_.bind_reservation(id, *res);
-}
-
 util::Result<TaskSnapshot> Kernel::snapshot(TaskId id, bool freeze) {
   Tcb* tcb = scheduler_.task(id);
   if (tcb == nullptr) return util::Status::not_found("no such task");
@@ -120,30 +95,7 @@ util::Result<TaskSnapshot> Kernel::snapshot(TaskId id, bool freeze) {
   snap.stack = tcb->stack;
   snap.data = tcb->data;
   snap.registers = tcb->registers;
-  if (tcb->reservation != kNoReservation) {
-    if (const auto* p = reservations_.cpu_params(tcb->reservation)) {
-      snap.has_cpu_reservation = true;
-      snap.cpu_reservation = *p;
-    }
-  }
   return snap;
-}
-
-util::Result<TaskId> Kernel::restore(const TaskSnapshot& snapshot,
-                                     std::function<void()> body,
-                                     std::function<util::Duration()> execution_time) {
-  auto id = admit_task(snapshot.params, std::move(body), std::move(execution_time),
-                       snapshot.stack.size(), snapshot.data.size());
-  if (!id) return id.status();
-  Tcb* tcb = scheduler_.task(*id);
-  tcb->stack = snapshot.stack;
-  tcb->data = snapshot.data;
-  tcb->registers = snapshot.registers;
-  if (snapshot.has_cpu_reservation) {
-    auto res = reservations_.create_cpu(snapshot.cpu_reservation);
-    if (res) (void)scheduler_.bind_reservation(*id, *res);
-  }
-  return *id;
 }
 
 std::size_t Kernel::ram_used() const {

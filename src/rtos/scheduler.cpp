@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <cassert>
 
-#include "util/log.hpp"
-
 namespace evm::rtos {
 
-Scheduler::Scheduler(sim::Simulator& sim, ReservationManager* reservations)
-    : sim_(sim), reservations_(reservations), epoch_(sim.now()) {}
+Scheduler::Scheduler(sim::Simulator& sim) : sim_(sim), epoch_(sim.now()) {}
 
 TaskId Scheduler::add_task(TaskParams params, std::function<void()> body,
                            std::function<util::Duration()> execution_time) {
@@ -20,14 +17,6 @@ TaskId Scheduler::add_task(TaskParams params, std::function<void()> body,
   tcb.execution_time = std::move(execution_time);
   tasks_[id] = std::move(tcb);
   return id;
-}
-
-util::Status Scheduler::remove_task(TaskId id) {
-  auto it = tasks_.find(id);
-  if (it == tasks_.end()) return util::Status::not_found("no such task");
-  (void)deactivate(id);
-  tasks_.erase(it);
-  return util::Status::ok();
 }
 
 util::Status Scheduler::activate(TaskId id) {
@@ -51,26 +40,6 @@ util::Status Scheduler::deactivate(TaskId id) {
   abort_job(id);
   active_.erase(id);
   if (Tcb* tcb = task(id)) tcb->state = TaskState::kDormant;
-  return util::Status::ok();
-}
-
-util::Status Scheduler::bind_reservation(TaskId id, ReservationId reservation) {
-  Tcb* tcb = task(id);
-  if (tcb == nullptr) return util::Status::not_found("no such task");
-  if (reservations_ != nullptr && reservation != kNoReservation &&
-      !reservations_->has_cpu(reservation)) {
-    return util::Status::not_found("no such reservation");
-  }
-  tcb->reservation = reservation;
-  return util::Status::ok();
-}
-
-util::Status Scheduler::set_priority(TaskId id, Priority priority) {
-  Tcb* tcb = task(id);
-  if (tcb == nullptr) return util::Status::not_found("no such task");
-  tcb->params.priority = priority;
-  // A priority change can make the running job preemptible immediately.
-  dispatch();
   return util::Status::ok();
 }
 
@@ -164,19 +133,15 @@ void Scheduler::dispatch() {
   // Select the highest-priority ready job (lowest number, FIFO tie-break).
   auto best = ready_.end();
   for (auto it = ready_.begin(); it != ready_.end(); ++it) {
-    const Tcb* tcb = task(it->task);
-    if (tcb == nullptr) continue;
     if (best == ready_.end() ||
-        tcb->params.priority < task(best->task)->params.priority) {
+        task(it->task)->params.priority < task(best->task)->params.priority) {
       best = it;
     }
   }
 
   if (running_.has_value()) {
     if (best == ready_.end()) return;
-    const Tcb* run_tcb = task(running_->task);
-    const Tcb* best_tcb = task(best->task);
-    if (run_tcb != nullptr && best_tcb->params.priority >= run_tcb->params.priority) {
+    if (task(best->task)->params.priority >= task(running_->task)->params.priority) {
       return;  // current job keeps the CPU
     }
     preempt_running();
@@ -188,65 +153,23 @@ void Scheduler::dispatch() {
   if (best == ready_.end()) return;
   running_ = *best;
   ready_.erase(best);
-  if (Tcb* tcb = task(running_->task)) tcb->state = TaskState::kRunning;
+  task(running_->task)->state = TaskState::kRunning;
   start_segment();
 }
 
 void Scheduler::start_segment() {
   assert(running_.has_value());
-  Tcb* tcb = task(running_->task);
-  assert(tcb != nullptr);
   segment_start_ = sim_.now();
-
-  util::Duration slice = running_->remaining;
-  if (reservations_ != nullptr && tcb->reservation != kNoReservation) {
-    const util::Duration available = reservations_->cpu_available(tcb->reservation);
-    if (!available.is_positive()) {
-      // Budget dry: suspend until replenishment.
-      ++tcb->stats.throttles;
-      tcb->state = TaskState::kSuspended;
-      Job job = *running_;
-      running_.reset();
-      const util::TimePoint wake = reservations_->cpu_next_replenish(tcb->reservation);
-      sim_.schedule_at(wake, [this, job] {
-        if (Tcb* t = task(job.task); t != nullptr && t->state == TaskState::kSuspended) {
-          t->state = TaskState::kReady;
-          enqueue_ready(job);
-          dispatch();
-        }
-      });
-      dispatch();
-      return;
-    }
-    slice = std::min(slice, available);
-  }
-
   const std::uint64_t generation = ++segment_generation_;
   segment_event_ = sim_.schedule_after(
-      slice, [this, generation] { end_segment(generation); });
+      running_->remaining, [this, generation] { end_segment(generation); });
 }
 
 void Scheduler::end_segment(std::uint64_t generation) {
   if (generation != segment_generation_ || !running_.has_value()) return;
-  Tcb* tcb = task(running_->task);
-  assert(tcb != nullptr);
-
-  const util::Duration executed = sim_.now() - segment_start_;
-  busy_time_ += executed;
-  running_->remaining -= executed;
-  if (reservations_ != nullptr && tcb->reservation != kNoReservation) {
-    reservations_->cpu_consume(tcb->reservation, executed);
-  }
-
-  if (running_->remaining.is_positive()) {
-    // Budget exhausted mid-job: suspend (start_segment handles the wait).
-    Job job = *running_;
-    running_.reset();
-    running_ = job;
-    start_segment();
-    return;
-  }
-
+  // A segment runs the job's whole remaining demand; only preemption or an
+  // abort cuts it short, and both invalidate this event.
+  busy_time_ += sim_.now() - segment_start_;
   Job done = *running_;
   running_.reset();
   complete_job(done);
@@ -259,16 +182,10 @@ void Scheduler::preempt_running() {
   const util::Duration executed = sim_.now() - segment_start_;
   busy_time_ += executed;
   running_->remaining -= executed;
-  if (reservations_ != nullptr && tcb != nullptr &&
-      tcb->reservation != kNoReservation && executed.is_positive()) {
-    reservations_->cpu_consume(tcb->reservation, executed);
-  }
   ++segment_generation_;  // invalidate the pending end-of-segment event
   sim_.cancel(segment_event_);
-  if (tcb != nullptr) {
-    ++tcb->stats.preemptions;
-    tcb->state = TaskState::kReady;
-  }
+  ++tcb->stats.preemptions;
+  tcb->state = TaskState::kReady;
   enqueue_ready(*running_);
   running_.reset();
 }
@@ -289,7 +206,6 @@ void Scheduler::abort_job(TaskId id) {
 
 void Scheduler::complete_job(Job job) {
   Tcb* tcb = task(job.task);
-  if (tcb == nullptr) return;
   auto state_it = active_.find(job.task);
   if (state_it != active_.end()) state_it->second.job_pending = false;
 

@@ -1,15 +1,13 @@
 // Fixed-priority fully preemptive scheduler over virtual time, mirroring
 // nano-RK. Job execution is simulated as virtual-time quanta, so preemption
-// behaviour, response times and CPU-reservation enforcement are exact and
-// deterministic — a prerequisite for testing the EVM's schedulability-gated
-// task admission and migration.
+// behaviour and response times are exact and deterministic — a prerequisite
+// for testing the EVM's schedulability-gated task admission and migration.
 #pragma once
 
 #include <map>
 #include <optional>
 #include <vector>
 
-#include "rtos/reservation.hpp"
 #include "rtos/task.hpp"
 #include "sim/simulator.hpp"
 #include "util/status.hpp"
@@ -18,8 +16,7 @@ namespace evm::rtos {
 
 class Scheduler {
  public:
-  /// `reservations` may be null: all tasks then run unmetered.
-  Scheduler(sim::Simulator& sim, ReservationManager* reservations = nullptr);
+  explicit Scheduler(sim::Simulator& sim);
 
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
@@ -27,19 +24,11 @@ class Scheduler {
   /// Create a TCB in the dormant state. `body` runs at each job completion.
   TaskId add_task(TaskParams params, std::function<void()> body = {},
                   std::function<util::Duration()> execution_time = {});
-  /// Remove a task entirely (aborting any in-flight job).
-  util::Status remove_task(TaskId id);
 
   /// Begin periodic releases (first release after params.phase).
   util::Status activate(TaskId id);
   /// Stop releases and abort the current job; TCB goes dormant.
   util::Status deactivate(TaskId id);
-
-  /// Attach the task to a CPU reservation for budget enforcement.
-  util::Status bind_reservation(TaskId id, ReservationId reservation);
-
-  /// Re-prioritize a task at runtime (EVM parametric operation #4).
-  util::Status set_priority(TaskId id, Priority priority);
 
   Tcb* task(TaskId id);
   const Tcb* task(TaskId id) const;
@@ -54,8 +43,7 @@ class Scheduler {
   /// Currently running task, if any.
   std::optional<TaskId> running() const;
 
-  /// Called by the kernel when migrating: capture/restore is done on the
-  /// TCB directly; these hooks stop and restart releases cleanly.
+  /// True while the task's periodic releases are enabled.
   bool is_active(TaskId id) const;
 
  private:
@@ -66,7 +54,7 @@ class Scheduler {
   };
   struct ActiveTask {
     bool releasing = false;       // periodic releases enabled
-    bool job_pending = false;     // a job exists (ready/running/suspended)
+    bool job_pending = false;     // a job exists (ready/running)
     Job job;
     sim::EventHandle release_event;
   };
@@ -82,7 +70,6 @@ class Scheduler {
   void complete_job(Job job);
 
   sim::Simulator& sim_;
-  ReservationManager* reservations_;
   std::map<TaskId, Tcb> tasks_;
   std::map<TaskId, ActiveTask> active_;
   std::vector<Job> ready_;

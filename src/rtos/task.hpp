@@ -25,7 +25,6 @@ enum class TaskState : std::uint8_t {
   kDormant = 0,   // TCB exists, not released
   kReady,
   kRunning,
-  kSuspended,     // reservation budget exhausted
   kFinished,      // current job complete, waiting for next period
 };
 
@@ -59,7 +58,6 @@ struct TaskRuntimeStats {
   std::uint64_t completions = 0;
   std::uint64_t deadline_misses = 0;
   std::uint64_t preemptions = 0;
-  std::uint64_t throttles = 0;  // reservation enforcement events
   util::Duration worst_response = util::Duration::zero();
   util::Duration total_response = util::Duration::zero();
 
@@ -84,9 +82,6 @@ struct Tcb {
   std::vector<std::uint8_t> stack;
   std::vector<std::uint8_t> data;
   RegisterImage registers;
-
-  /// Reservation this task draws CPU budget from, if any.
-  std::uint16_t reservation = 0xFFFF;
 
   TaskRuntimeStats stats;
 };

@@ -195,13 +195,6 @@ void TestbedBuilder::build_nodes() {
       });
     }
   }
-
-  // Gateway monitors the plant through the ModBus register map (Fig. 5).
-  (void)hil_->modbus().map_plant_variable(0, plant_, "LTS.LiquidPercentLevel", false);
-  (void)hil_->modbus().map_plant_variable(1, plant_, "SepLiq.MolarFlow", false);
-  (void)hil_->modbus().map_plant_variable(2, plant_, "LTSLiq.MolarFlow", false);
-  (void)hil_->modbus().map_plant_variable(3, plant_, "TowerFeed.MolarFlow", false);
-  (void)hil_->modbus().map_plant_variable(100, plant_, "LTSValve.Opening", true);
 }
 
 void TestbedBuilder::start() {

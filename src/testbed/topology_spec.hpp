@@ -32,7 +32,7 @@ const char* to_string(DisseminationMode mode);
 /// What a node contributes to the control loop. Relays only forward traffic
 /// (they sit between sensor and controllers in multi-hop worlds).
 enum class NodeRole : std::uint8_t {
-  kGateway = 0,  // ModBus bridge, VC head
+  kGateway = 0,  // VC head
   kSensor,       // publishes the plant measurement stream
   kController,   // replica of the control function (priority = spec order)
   kActuator,     // drives the plant valve
@@ -145,7 +145,7 @@ SchedulePlan plan_schedule(const TopologySpec& topo,
 
 /// Node ids of the Fig. 5 world (mirroring the paper's labels).
 struct TestbedIds {
-  static constexpr net::NodeId kGateway = 1;  // ModBus bridge + VC head
+  static constexpr net::NodeId kGateway = 1;  // VC head
   static constexpr net::NodeId kSensor = 2;   // S1: LTS liquid level
   static constexpr net::NodeId kCtrlA = 3;    // primary controller
   static constexpr net::NodeId kCtrlB = 4;    // backup controller

@@ -16,7 +16,7 @@ enum class StatusCode {
   kInvalidArgument,
   kNotFound,
   kAlreadyExists,
-  kResourceExhausted,   // reservation/admission rejected
+  kResourceExhausted,   // admission or RAM budget rejected
   kFailedPrecondition,  // e.g. node not in the required mode
   kUnavailable,         // link down, peer unreachable
   kDeadlineExceeded,

@@ -59,22 +59,40 @@ TEST_F(KernelFixture, AdmissibleIsSideEffectFree) {
   EXPECT_EQ(kernel.scheduler().task_count(), 0u);
 }
 
-TEST_F(KernelFixture, StartStopRemove) {
+TEST_F(KernelFixture, StartAndStopGateReleases) {
   int runs = 0;
   auto id = kernel.admit_task(params("t", 100, 5), [&] { ++runs; });
   ASSERT_TRUE(kernel.start_task(*id));
   sim.run_until(util::TimePoint::zero() + Duration::millis(350));
   EXPECT_EQ(runs, 4);
   ASSERT_TRUE(kernel.stop_task(*id));
-  ASSERT_TRUE(kernel.remove_task(*id));
-  EXPECT_EQ(kernel.scheduler().task_count(), 0u);
+  sim.run_until(util::TimePoint::zero() + Duration::millis(1000));
+  EXPECT_EQ(runs, 4);
+  // The TCB stays admitted: its RAM is still booked and it can restart.
+  EXPECT_EQ(kernel.scheduler().task_count(), 1u);
+  EXPECT_EQ(kernel.scheduler().task(*id)->state, TaskState::kDormant);
+  ASSERT_TRUE(kernel.start_task(*id));
+  sim.run_until(util::TimePoint::zero() + Duration::millis(1050));
+  EXPECT_EQ(runs, 5);
 }
 
-TEST_F(KernelFixture, ReserveCpuBindsBudget) {
-  auto id = kernel.admit_task(params("t", 100, 10));
-  ASSERT_TRUE(kernel.reserve_cpu(*id));
-  const Tcb* tcb = kernel.scheduler().task(*id);
-  EXPECT_NE(tcb->reservation, kNoReservation);
+TEST_F(KernelFixture, TaskControlErrorsCarryTheirCodes) {
+  constexpr TaskId kUnknown = 42;
+  EXPECT_EQ(kernel.start_task(kUnknown).code(), util::StatusCode::kNotFound);
+  EXPECT_EQ(kernel.snapshot(kUnknown).status().code(), util::StatusCode::kNotFound);
+  auto id = kernel.admit_task(params("t", 100, 5));
+  ASSERT_TRUE(id.ok());
+  EXPECT_EQ(kernel.stop_task(*id).code(), util::StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(kernel.start_task(*id));
+  EXPECT_EQ(kernel.start_task(*id).code(), util::StatusCode::kAlreadyExists);
+}
+
+TEST_F(KernelFixture, AdmissionRunsExactResponseTimeAnalysis) {
+  // A harmonic pair at 100 % utilization: both utilization bounds reject it
+  // (Liu-Layland 0.83, hyperbolic 1.5 * 1.5 > 2), exact analysis admits it.
+  ASSERT_TRUE(kernel.admit_task(params("fast", 100, 50, 1)).ok());
+  EXPECT_TRUE(kernel.admit_task(params("slow", 200, 100, 2)).ok());
+  EXPECT_EQ(kernel.scheduler().task_count(), 2u);
 }
 
 TEST_F(KernelFixture, SnapshotCapturesFullTcbImage) {
@@ -111,6 +129,29 @@ TEST_F(KernelFixture, SnapshotEncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded.stack.size(), 32u);
 }
 
+TEST_F(KernelFixture, SnapshotEncodingIsTheTcbImageAndNothingMore) {
+  auto id = kernel.admit_task(params("abc", 100, 5, 7), {}, {}, 32, 16);
+  kernel.scheduler().task(*id)->registers.gp[31] = 0xEE;
+  auto snap = kernel.snapshot(*id);
+  ASSERT_TRUE(snap.ok());
+  const auto bytes = snap->encode();
+  // Name (u16 length + 3), four i64 timings, priority, stack and data blobs
+  // (u16 length each), pc, sp and the 32 general-purpose registers.
+  EXPECT_EQ(bytes.size(), (2u + 3) + 4 * 8 + 1 + (2 + 32) + (2 + 16) + 4 + 4 + 32);
+  EXPECT_EQ(bytes.back(), 0xEE);  // the register file ends the encoding
+}
+
+TEST_F(KernelFixture, TruncatedSnapshotFailsToDecode) {
+  auto id = kernel.admit_task(params("t", 100, 5), {}, {}, 32, 16);
+  auto snap = kernel.snapshot(*id);
+  ASSERT_TRUE(snap.ok());
+  auto bytes = snap->encode();
+  TaskSnapshot decoded;
+  ASSERT_TRUE(TaskSnapshot::decode(bytes, decoded));
+  bytes.pop_back();
+  EXPECT_FALSE(TaskSnapshot::decode(bytes, decoded));
+}
+
 TEST_F(KernelFixture, SnapshotWithFreezeStopsTask) {
   auto id = kernel.admit_task(params("t", 100, 5));
   (void)kernel.start_task(*id);
@@ -120,48 +161,16 @@ TEST_F(KernelFixture, SnapshotWithFreezeStopsTask) {
   EXPECT_FALSE(kernel.scheduler().is_active(*id));
 }
 
-TEST_F(KernelFixture, RestoreOnSecondKernelRunsTask) {
-  auto id = kernel.admit_task(params("migrant", 100, 5), {}, {}, 64, 32);
-  kernel.scheduler().task(*id)->data.assign(32, 0x77);
-  auto snap = kernel.snapshot(*id, true);
-  ASSERT_TRUE(snap.ok());
-
-  Kernel destination(sim);
+TEST_F(KernelFixture, SnapshotWithoutFreezeKeepsTheTaskReleasing) {
+  // Replication snapshots a task that goes on running at the source.
   int runs = 0;
-  auto restored = destination.restore(*snap, [&] { ++runs; });
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ(destination.scheduler().task(*restored)->data[0], 0x77);
-  (void)destination.start_task(*restored);
-  sim.run_until(sim.now() + Duration::millis(550));
-  EXPECT_EQ(runs, 6);  // releases at 0, 100, ..., 500 ms after restart
-}
-
-TEST_F(KernelFixture, RestoreRespectsAdmission) {
-  // Destination already nearly full: restoring a heavy task must fail.
-  Kernel destination(sim);
-  ASSERT_TRUE(destination.admit_task(params("resident", 100, 80, 1)).ok());
-
-  auto id = kernel.admit_task(params("heavy", 100, 40, 2));
-  auto snap = kernel.snapshot(*id);
-  ASSERT_TRUE(snap.ok());
-  auto restored = destination.restore(*snap);
-  EXPECT_FALSE(restored.ok());
-  EXPECT_EQ(restored.status().code(), util::StatusCode::kResourceExhausted);
-}
-
-TEST_F(KernelFixture, SnapshotCarriesReservation) {
-  auto id = kernel.admit_task(params("t", 100, 10));
-  ASSERT_TRUE(kernel.reserve_cpu(*id));
-  auto snap = kernel.snapshot(*id);
-  ASSERT_TRUE(snap.ok());
-  EXPECT_TRUE(snap->has_cpu_reservation);
-  EXPECT_EQ(snap->cpu_reservation.budget.ms(), 10);
-  EXPECT_EQ(snap->cpu_reservation.period.ms(), 100);
-
-  Kernel destination(sim);
-  auto restored = destination.restore(*snap);
-  ASSERT_TRUE(restored.ok());
-  EXPECT_NE(destination.scheduler().task(*restored)->reservation, kNoReservation);
+  auto id = kernel.admit_task(params("t", 100, 5), [&] { ++runs; });
+  (void)kernel.start_task(*id);
+  sim.run_until(util::TimePoint::zero() + Duration::millis(150));
+  ASSERT_TRUE(kernel.snapshot(*id).ok());
+  EXPECT_TRUE(kernel.scheduler().is_active(*id));
+  sim.run_until(util::TimePoint::zero() + Duration::millis(350));
+  EXPECT_EQ(runs, 4);
 }
 
 TEST_F(KernelFixture, UtilizationAndCapacityAccessors) {
@@ -170,33 +179,6 @@ TEST_F(KernelFixture, UtilizationAndCapacityAccessors) {
   (void)kernel.start_task(*id);
   EXPECT_DOUBLE_EQ(kernel.utilization(), 0.25);
 }
-
-// Admission tests parameterized over the three analysis flavors: all three
-// must agree on clearly-schedulable and clearly-infeasible sets.
-class AdmissionTestKind
-    : public ::testing::TestWithParam<KernelConfig::Test> {};
-
-TEST_P(AdmissionTestKind, AgreesOnExtremes) {
-  sim::Simulator sim(1);
-  KernelConfig config;
-  config.test = GetParam();
-  Kernel kernel(sim, config);
-  TaskParams light;
-  light.name = "light";
-  light.period = Duration::millis(100);
-  light.wcet = Duration::millis(5);
-  EXPECT_TRUE(kernel.admit_task(light).ok());
-  TaskParams impossible;
-  impossible.name = "impossible";
-  impossible.period = Duration::millis(100);
-  impossible.wcet = Duration::millis(99);
-  EXPECT_FALSE(kernel.admit_task(impossible).ok());
-}
-
-INSTANTIATE_TEST_SUITE_P(AllTests, AdmissionTestKind,
-                         ::testing::Values(KernelConfig::Test::kLiuLayland,
-                                           KernelConfig::Test::kHyperbolic,
-                                           KernelConfig::Test::kResponseTime));
 
 }  // namespace
 }  // namespace evm::rtos

@@ -170,21 +170,6 @@ TEST(Messages, SensorDataCarriesSequence) {
   EXPECT_EQ(out.seq, 0xDEADBEEFu);
 }
 
-TEST(Messages, ParametricCommandRoundTrip) {
-  ParametricCommandMsg m;
-  m.vc = 4;
-  m.op = ParametricCommandMsg::Op::kSetCpuReservation;
-  m.arg_a = 7;
-  m.arg_b = 100;
-  m.arg_c = 2500;
-  ParametricCommandMsg out;
-  ASSERT_TRUE(ParametricCommandMsg::decode(m.encode(), out));
-  EXPECT_EQ(out.op, ParametricCommandMsg::Op::kSetCpuReservation);
-  EXPECT_EQ(out.arg_a, 7);
-  EXPECT_EQ(out.arg_b, 100);
-  EXPECT_EQ(out.arg_c, 2500);
-}
-
 TEST(Messages, AlgorithmUpdateRoundTrip) {
   AlgorithmUpdateMsg m;
   m.vc = 1;

@@ -213,6 +213,59 @@ TEST_F(MigrationFixture, ZeroBytePayloadStillCommits) {
   EXPECT_TRUE(handled);
 }
 
+// The destination's first commit verdict is lost on its way back. The
+// source times out and re-sends the final chunk; the destination, whose
+// session is already closed, re-acks it and repeats the kept verdict
+// without running the payload handler again.
+struct LostCommitFixture : MigrationFixture {
+  int handled = 0;
+  int commits_seen = 0;
+  MigrationOutcome outcome;
+  bool done = false;
+
+  void run(bool verdict) {
+    MigrationEngine& src = make_node(1);
+    MigrationEngine& dst = make_node(2);
+    dst.set_payload_handler(
+        [this, verdict](const MigrationOfferMsg&, const std::vector<std::uint8_t>&) {
+          ++handled;
+          return verdict;
+        });
+    Stack& source = stacks[1];
+    source.router->set_receive_handler([this, &source](const net::Datagram& d) {
+      if (d.type == static_cast<std::uint8_t>(MsgType::kMigrationCommit) &&
+          ++commits_seen == 1) {
+        return;  // the first verdict never arrives
+      }
+      source.engine->handle(d);
+    });
+    start_all();
+    src.initiate(2, {}, payload_of(100), [this](const MigrationOutcome& o) {
+      outcome = o;
+      done = true;
+    });
+    run_for(util::Duration::seconds(10));
+  }
+};
+
+TEST_F(LostCommitFixture, SuccessVerdictIsRepeatedForTheResentFinalChunk) {
+  run(true);
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(outcome.success) << outcome.failure;
+  EXPECT_EQ(commits_seen, 2);
+  EXPECT_EQ(handled, 1);
+  EXPECT_GE(outcome.retransmissions, 1);
+}
+
+TEST_F(LostCommitFixture, FailureVerdictIsRepeatedForTheResentFinalChunk) {
+  run(false);
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(outcome.success);
+  EXPECT_EQ(outcome.failure, "destination failed attestation/admission");
+  EXPECT_EQ(commits_seen, 2);
+  EXPECT_EQ(handled, 1);
+}
+
 class MigrationSizes : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(MigrationSizes, RoundTripsAllSizes) {

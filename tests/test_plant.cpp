@@ -4,7 +4,6 @@
 
 #include "plant/gas_plant.hpp"
 #include "plant/hil.hpp"
-#include "plant/modbus.hpp"
 #include "plant/pid.hpp"
 
 namespace evm::plant {
@@ -244,42 +243,6 @@ TEST(GasPlant, RecycleCouplingMovesSepLiq) {
   plant.set_lts_valve(75.0);  // tower feed spikes -> inlet cools -> SepLiq up
   plant.settle(400.0);
   EXPECT_GT(std::fabs(plant.sep_liquid_flow() - sep_before), 0.1);
-}
-
-// --- ModBus ----------------------------------------------------------------------
-
-TEST(Modbus, MapsAndReadsRegisters) {
-  GasPlant plant;
-  plant.settle(100.0);
-  ModbusGateway modbus;
-  ASSERT_TRUE(modbus.map_plant_variable(0, plant, "LTS.LiquidPercentLevel", false));
-  ASSERT_TRUE(modbus.map_plant_variable(100, plant, "LTSValve.Opening", true));
-  auto level = modbus.read_register(0);
-  ASSERT_TRUE(level.ok());
-  EXPECT_GT(*level, 0.0);
-  ASSERT_TRUE(modbus.write_register(100, 42.0));
-  EXPECT_DOUBLE_EQ(plant.lts_valve(), 42.0);
-  EXPECT_EQ(modbus.read_count(), 1u);
-  EXPECT_EQ(modbus.write_count(), 1u);
-}
-
-TEST(Modbus, UnmappedRegisterErrors) {
-  ModbusGateway modbus;
-  EXPECT_FALSE(modbus.read_register(9).ok());
-  EXPECT_FALSE(modbus.write_register(9, 1.0));
-}
-
-TEST(Modbus, ReadOnlyMappingRejectsWrites) {
-  GasPlant plant;
-  ModbusGateway modbus;
-  ASSERT_TRUE(modbus.map_plant_variable(0, plant, "LTS.LiquidPercentLevel", false));
-  EXPECT_FALSE(modbus.write_register(0, 1.0));
-}
-
-TEST(Modbus, UnknownVariableRejected) {
-  GasPlant plant;
-  ModbusGateway modbus;
-  EXPECT_FALSE(modbus.map_plant_variable(0, plant, "Bogus.Name", false));
 }
 
 // --- HIL harness -----------------------------------------------------------------

@@ -526,6 +526,58 @@ TEST(ScenarioRunner, PrimaryFaultTriggersFailover) {
   EXPECT_EQ(m.ctrl_b_mode, "Active");
 }
 
+TEST(ScenarioRunner, ClearPrimaryFaultBeforeTheEvidenceWindowAvoidsFailover) {
+  // Two faulty 250 ms cycles, well short of the 8 the backup needs as
+  // evidence; the same fault left standing is failed over.
+  auto spec = parse(R"({
+    "name": "test-clear-fault",
+    "horizon_s": 60,
+    "testbed": {"evidence_threshold": 8, "dormant_delay_s": 5},
+    "topology": {"generator": "fig5", "link_loss": 0.05},
+    "events": [{"at_s": 10, "do": "primary_fault", "value": 75.0},
+               {"at_s": 10.5, "do": "clear_primary_fault"}]
+  })");
+  ASSERT_TRUE(spec.ok());
+  const RunMetrics cleared = ScenarioRunner(*spec, 3).run();
+  ASSERT_TRUE(cleared.ok) << cleared.error;
+  EXPECT_EQ(cleared.failover_count, 0u);
+  EXPECT_EQ(cleared.ctrl_a_mode, "Active");
+  EXPECT_FALSE(cleared.backup_active);
+
+  spec->events.pop_back();
+  const RunMetrics standing = ScenarioRunner(*spec, 3).run();
+  ASSERT_TRUE(standing.ok) << standing.error;
+  EXPECT_GE(standing.failover_count, 1u);
+}
+
+TEST(ScenarioRunner, ClearBurstLossEndsTheBurst) {
+  // Every frame on sensor <-> ctrl_a is lost from 5 s; clearing the chain at
+  // 10 s returns the link to its i.i.d. loss for the remaining 20 s.
+  auto spec = parse(R"({
+    "name": "test-clear-burst",
+    "horizon_s": 30,
+    "testbed": {"evidence_threshold": 8},
+    "topology": {"generator": "fig5", "link_loss": 0.01},
+    "events": [{"at_s": 5, "do": "burst_loss", "a": "sensor", "b": "ctrl_a",
+                "p_good_loss": 1.0, "p_bad_loss": 1.0},
+               {"at_s": 10, "do": "clear_burst_loss", "a": "sensor", "b": "ctrl_a"}]
+  })");
+  ASSERT_TRUE(spec.ok());
+  const RunMetrics cleared = ScenarioRunner(*spec, 1).run();
+  ASSERT_TRUE(cleared.ok) << cleared.error;
+
+  spec->events.pop_back();
+  const RunMetrics standing = ScenarioRunner(*spec, 1).run();
+  ASSERT_TRUE(standing.ok) << standing.error;
+
+  spec->events.clear();
+  const RunMetrics no_burst = ScenarioRunner(*spec, 1).run();
+  ASSERT_TRUE(no_burst.ok) << no_burst.error;
+
+  EXPECT_GT(cleared.packets_lost, no_burst.packets_lost);
+  EXPECT_GT(standing.packets_lost, cleared.packets_lost);
+}
+
 TEST(ScenarioRunner, NodeCrashIsDetectedAsSilence) {
   auto spec = parse(R"({
     "name": "test-crash",

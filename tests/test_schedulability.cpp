@@ -129,6 +129,39 @@ TEST_P(TestOrdering, SufficientTestsNeverContradictExact) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TestOrdering, ::testing::Values(1, 2, 3, 4, 5));
 
+// All three tests must agree on a clearly schedulable and a clearly
+// infeasible set (the kernel admits with exact RTA; bench_schedulability
+// compares all three).
+enum class Analysis { kLiuLayland, kHyperbolic, kResponseTime };
+
+void PrintTo(Analysis analysis, std::ostream* os) {
+  switch (analysis) {
+    case Analysis::kLiuLayland: *os << "LiuLayland"; break;
+    case Analysis::kHyperbolic: *os << "Hyperbolic"; break;
+    case Analysis::kResponseTime: *os << "ResponseTime"; break;
+  }
+}
+
+AnalysisResult analyze(Analysis analysis, const std::vector<AnalysisTask>& tasks) {
+  switch (analysis) {
+    case Analysis::kLiuLayland: return liu_layland_test(tasks);
+    case Analysis::kHyperbolic: return hyperbolic_test(tasks);
+    case Analysis::kResponseTime: return response_time_analysis(tasks);
+  }
+  return {};
+}
+
+class AnalysisExtremes : public ::testing::TestWithParam<Analysis> {};
+
+TEST_P(AnalysisExtremes, AgreeOnExtremes) {
+  EXPECT_TRUE(analyze(GetParam(), {at(5, 100, 0)}).schedulable);
+  EXPECT_FALSE(analyze(GetParam(), {at(5, 100, 0), at(99, 100, 1)}).schedulable);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTests, AnalysisExtremes,
+                         ::testing::Values(Analysis::kLiuLayland, Analysis::kHyperbolic,
+                                           Analysis::kResponseTime));
+
 // --- Property: RTA bounds observed response times in simulation -------------
 
 class RtaVsSimulation : public ::testing::TestWithParam<std::uint64_t> {};

@@ -10,8 +10,7 @@ using util::TimePoint;
 
 struct SchedulerFixture : ::testing::Test {
   sim::Simulator sim{2};
-  ReservationManager reservations{sim};
-  Scheduler scheduler{sim, &reservations};
+  Scheduler scheduler{sim};
 
   void run_for(Duration d) { sim.run_until(sim.now() + d); }
 };
@@ -122,13 +121,61 @@ TEST_F(SchedulerFixture, DeactivateInactiveFails) {
   EXPECT_FALSE(scheduler.deactivate(id));
 }
 
-TEST_F(SchedulerFixture, RemoveTaskAbortsJob) {
-  TaskId id = scheduler.add_task(periodic("t", 100, 50, 1));
+TEST_F(SchedulerFixture, ActivateErrorsCarryTheirCodes) {
+  EXPECT_EQ(scheduler.activate(42).code(), util::StatusCode::kNotFound);
+  TaskId id = scheduler.add_task(periodic("t", 100, 5, 1));
+  ASSERT_TRUE(scheduler.activate(id));
+  EXPECT_EQ(scheduler.activate(id).code(), util::StatusCode::kAlreadyExists);
+}
+
+TEST_F(SchedulerFixture, DeactivateMidJobAbortsItWithoutCompleting) {
+  int runs = 0;
+  TaskId id = scheduler.add_task(periodic("t", 100, 50, 1), [&] { ++runs; });
   (void)scheduler.activate(id);
   run_for(Duration::millis(10));
-  ASSERT_TRUE(scheduler.remove_task(id));
-  EXPECT_EQ(scheduler.task(id), nullptr);
-  run_for(Duration::seconds(1));  // must not crash on stale events
+  ASSERT_TRUE(scheduler.deactivate(id));
+  EXPECT_FALSE(scheduler.running().has_value());
+  run_for(Duration::seconds(1));  // the aborted job's end event must not fire
+  EXPECT_EQ(runs, 0);
+  EXPECT_EQ(scheduler.task(id)->stats.completions, 0u);
+  // Only the aborted 10 ms ran, out of 1.01 s.
+  EXPECT_NEAR(scheduler.measured_utilization(), 0.010 / 1.010, 1e-9);
+}
+
+TEST_F(SchedulerFixture, DeactivatingTheRunningTaskHandsTheCpuOn) {
+  // High (prio 1) runs 0-50 ms and holds low (prio 5) back; stopping high
+  // at 20 ms lets low start at once and finish its 30 ms at 50 ms.
+  TimePoint low_done;
+  TaskId high = scheduler.add_task(periodic("high", 1000, 50, 1));
+  TaskId low = scheduler.add_task(periodic("low", 1000, 30, 5),
+                                  [&] { low_done = sim.now(); });
+  (void)scheduler.activate(high);
+  (void)scheduler.activate(low);
+  run_for(Duration::millis(20));
+  ASSERT_EQ(scheduler.running().value_or(kInvalidTask), high);
+  ASSERT_TRUE(scheduler.deactivate(high));
+  EXPECT_EQ(scheduler.running().value_or(kInvalidTask), low);
+  run_for(Duration::millis(100));
+  EXPECT_EQ(low_done.ms(), 50);
+  EXPECT_EQ(scheduler.task(low)->stats.preemptions, 0u);
+}
+
+TEST_F(SchedulerFixture, LateCompletionCountsADeadlineMiss) {
+  // Low (deadline 15 ms) waits 20 ms behind high and completes at 30 ms:
+  // the job still runs its body, and counts as a miss.
+  int low_runs = 0;
+  TaskParams low = periodic("low", 1000, 10, 5);
+  low.deadline = Duration::millis(15);
+  TaskId high = scheduler.add_task(periodic("high", 1000, 20, 1));
+  TaskId low_id = scheduler.add_task(low, [&] { ++low_runs; });
+  (void)scheduler.activate(high);
+  (void)scheduler.activate(low_id);
+  run_for(Duration::millis(100));
+  EXPECT_EQ(low_runs, 1);
+  EXPECT_EQ(scheduler.task(low_id)->stats.completions, 1u);
+  EXPECT_EQ(scheduler.task(low_id)->stats.worst_response.ms(), 30);
+  EXPECT_EQ(scheduler.task(low_id)->stats.deadline_misses, 1u);
+  EXPECT_EQ(scheduler.task(high)->stats.deadline_misses, 0u);
 }
 
 TEST_F(SchedulerFixture, UtilizationSums) {
@@ -145,51 +192,6 @@ TEST_F(SchedulerFixture, MeasuredUtilizationTracksLoad) {
   (void)scheduler.activate(a);
   run_for(Duration::seconds(10));
   EXPECT_NEAR(scheduler.measured_utilization(), 0.30, 0.02);
-}
-
-TEST_F(SchedulerFixture, ReservationThrottlesOverconsumingTask) {
-  // Task claims wcet 10 ms but actually burns 30 ms; its 10 ms/100 ms
-  // reservation throttles it, protecting the rest of the node.
-  auto res = reservations.create_cpu({Duration::millis(10), Duration::millis(100)});
-  ASSERT_TRUE(res);
-  TaskParams p = periodic("greedy", 100, 10, 1);
-  int runs = 0;
-  TaskId id = scheduler.add_task(p, [&] { ++runs; },
-                                 [] { return Duration::millis(30); });
-  ASSERT_TRUE(scheduler.bind_reservation(id, *res));
-  (void)scheduler.activate(id);
-  run_for(Duration::seconds(1));
-  // Each job needs 3 replenishment periods; successor releases abort it
-  // first (deadline miss), so throughput collapses instead of starving others.
-  EXPECT_GT(scheduler.task(id)->stats.throttles, 0u);
-  EXPECT_GT(scheduler.task(id)->stats.deadline_misses, 0u);
-}
-
-TEST_F(SchedulerFixture, ReservedTaskWithinBudgetUnaffected) {
-  auto res = reservations.create_cpu({Duration::millis(20), Duration::millis(100)});
-  TaskParams p = periodic("polite", 100, 10, 1);
-  int runs = 0;
-  TaskId id = scheduler.add_task(p, [&] { ++runs; });
-  (void)scheduler.bind_reservation(id, *res);
-  (void)scheduler.activate(id);
-  run_for(Duration::seconds(1));
-  EXPECT_EQ(runs, 10);
-  EXPECT_EQ(scheduler.task(id)->stats.throttles, 0u);
-}
-
-TEST_F(SchedulerFixture, PriorityChangeTriggersImmediatePreemption) {
-  TaskParams bg = periodic("bg", 1000, 200, 5);
-  TaskParams fg = periodic("fg", 1000, 10, 6);  // starts lower priority
-  fg.phase = Duration::millis(20);
-  TimePoint fg_done;
-  TaskId bg_id = scheduler.add_task(bg);
-  TaskId fg_id = scheduler.add_task(fg, [&] { fg_done = sim.now(); });
-  (void)scheduler.activate(bg_id);
-  (void)scheduler.activate(fg_id);
-  sim.schedule_at(TimePoint::zero() + Duration::millis(30),
-                  [&] { (void)scheduler.set_priority(fg_id, 1); });
-  run_for(Duration::millis(500));
-  EXPECT_EQ(fg_done.ms(), 40);  // boosted at 30, runs 10 ms
 }
 
 TEST_F(SchedulerFixture, VariableExecutionTimes) {

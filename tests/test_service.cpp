@@ -8,6 +8,7 @@
 #include "core/control_programs.hpp"
 #include "core/service.hpp"
 #include "net/dissemination.hpp"
+#include "vm/assembler.hpp"
 
 namespace evm::core {
 namespace {
@@ -263,6 +264,213 @@ TEST_F(ServiceFixture, FunctionMigrationMovesStateAndMode) {
   EXPECT_GT(services[4]->cycles_run(kLoop), 0u);
 }
 
+bool holds_task(Node& node, const std::string& name) {
+  for (rtos::TaskId id : node.kernel().scheduler().task_ids()) {
+    if (node.kernel().scheduler().task(id)->params.name == name) return true;
+  }
+  return false;
+}
+
+TEST_F(ServiceFixture, StartRefusesACapsuleThatFailsAttestation) {
+  vc.functions[kLoop].algorithm.code[0] ^= 0xFF;  // corrupted after seal()
+  EvmService svc(*nodes[2], vc);
+  const util::Status status = svc.start();
+  EXPECT_EQ(status.code(), util::StatusCode::kDataLoss);
+  EXPECT_NE(status.message().find("failed attestation"), std::string::npos);
+  EXPECT_FALSE(holds_task(*nodes[2], "loop"));
+  EXPECT_EQ(svc.mode(kLoop), ControllerMode::kDormant);
+}
+
+TEST_F(ServiceFixture, StartReturnsTheAdmissionErrorOfAnInadmissibleTask) {
+  vc.functions[kLoop].task.wcet = util::Duration::millis(150);  // > period
+  EvmService svc(*nodes[2], vc);
+  const util::Status status = svc.start();
+  EXPECT_EQ(status.code(), util::StatusCode::kResourceExhausted);
+  EXPECT_NE(status.message().find("'loop'"), std::string::npos);
+  EXPECT_FALSE(holds_task(*nodes[2], "loop"));
+  // Nothing of the function stays behind on the node.
+  EXPECT_EQ(svc.seed_function_slot(kLoop, 0, 1.0).code(), util::StatusCode::kNotFound);
+}
+
+TEST_F(ServiceFixture, SeedSlotOfAFunctionNotHeldIsNotFound) {
+  start();
+  EXPECT_EQ(services[4]->seed_function_slot(kLoop, 0, 1.0).code(),
+            util::StatusCode::kNotFound);
+  EXPECT_EQ(services[2]->seed_function_slot(kLoop + 1, 0, 1.0).code(),
+            util::StatusCode::kNotFound);
+}
+
+TEST_F(ServiceFixture, SeedSlotPastTheDataSegmentIsInvalidArgument) {
+  start();
+  const std::size_t last = vm::Interpreter::kSlots - 1;
+  EXPECT_EQ(services[2]->seed_function_slot(kLoop, last + 1, 1.0).code(),
+            util::StatusCode::kInvalidArgument);
+  ASSERT_TRUE(services[2]->seed_function_slot(kLoop, last, 7.5));
+  EXPECT_DOUBLE_EQ(services[2]->function_slot(kLoop, last), 7.5);
+}
+
+TEST_F(ServiceFixture, SetModeOfAFunctionNotHeldIsNotFound) {
+  start();
+  EXPECT_EQ(services[4]->set_mode(kLoop, ControllerMode::kActive).code(),
+            util::StatusCode::kNotFound);
+  EXPECT_EQ(services[4]->mode(kLoop), ControllerMode::kDormant);
+  EXPECT_DOUBLE_EQ(services[4]->function_slot(kLoop, 0), 0.0);
+}
+
+vm::Capsule capsule_of(const std::string& source) {
+  vm::Capsule capsule;
+  capsule.program_id = ServiceFixture::kLoop;
+  capsule.name = "test";
+  capsule.code = *vm::assemble(source);
+  capsule.seal();
+  return capsule;
+}
+
+TEST_F(ServiceFixture, VmFaultSkipsTheCycle) {
+  // Attestation checks structure, not stack depth: `add` on an empty stack
+  // passes it and faults at run time, every cycle.
+  vc.functions[kLoop].algorithm = capsule_of("add\nactuate 0\nhalt\n");
+  start();
+  run_for(util::Duration::seconds(2));
+  for (net::NodeId id : {2, 3}) {
+    EXPECT_EQ(services[id]->cycles_run(kLoop), 0u) << "node " << id;
+    EXPECT_DOUBLE_EQ(services[id]->last_output(kLoop), 0.0) << "node " << id;
+  }
+}
+
+TEST_F(ServiceFixture, VmSendPublishesOnTheDataPlane) {
+  vc.functions[kLoop].algorithm =
+      capsule_of("sensor 0\npush 1\nadd\nsend 9\nsensor 0\nactuate 0\nhalt\n");
+  start();
+  run_for(util::Duration::seconds(2));
+  for (net::NodeId id : {1, 4}) {
+    ASSERT_TRUE(services[id]->has_stream(9)) << "node " << id;
+    EXPECT_DOUBLE_EQ(services[id]->stream_value(9), 43.0);
+  }
+}
+
+// The payload EvmService ships to move a function: kind 1, function id,
+// target mode, TCB snapshot, VM data segment and code capsule.
+std::vector<std::uint8_t> function_payload(FunctionId function,
+                                           const rtos::TaskParams& task,
+                                           const vm::Capsule& capsule) {
+  rtos::TaskSnapshot snapshot;
+  snapshot.params = task;
+  util::ByteWriter w;
+  w.u8(1);
+  w.u16(function);
+  w.u8(static_cast<std::uint8_t>(ControllerMode::kActive));
+  w.blob(snapshot.encode());
+  w.blob(std::vector<std::uint8_t>(vm::Interpreter::kSlots * 8, 0));
+  w.blob(capsule.encode());
+  return w.take();
+}
+
+/// Ship `payload` from the head to node 4 through the migration engine.
+std::optional<MigrationOutcome> ship_to_node_4(ServiceFixture& f, FunctionId function,
+                                               const std::vector<std::uint8_t>& payload) {
+  std::optional<MigrationOutcome> outcome;
+  MigrationOfferMsg meta;
+  meta.vc = f.vc.id;
+  meta.function = function;
+  f.services[1]->migration().initiate(
+      4, meta, payload, [&outcome](const MigrationOutcome& o) { outcome = o; });
+  f.run_for(util::Duration::seconds(20));
+  return outcome;
+}
+
+TEST_F(ServiceFixture, MigratedCapsuleCorruptedAfterSealIsRejected) {
+  start();
+  run_for(util::Duration::seconds(1));
+  vm::Capsule capsule = vc.functions[kLoop].algorithm;
+  capsule.version = 5;
+  capsule.code.back() ^= 0xFF;  // corrupted in transit, after seal()
+  const auto outcome = ship_to_node_4(
+      *this, kLoop, function_payload(kLoop, vc.functions[kLoop].task, capsule));
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_FALSE(outcome->success);
+  EXPECT_EQ(services[4]->mode(kLoop), ControllerMode::kDormant);
+  EXPECT_FALSE(holds_task(*nodes[4], "loop"));
+  // Rejected before the receiver adopts the capsule as the function's code.
+  EXPECT_EQ(services[4]->algorithm_version(kLoop), 0);
+}
+
+TEST_F(ServiceFixture, MigratedFunctionTheReceiverCannotAdmitIsRejected) {
+  start();
+  // Node 4's CPU is taken; the offer understates the function's demand, so
+  // the capability check passes and admission is what refuses it.
+  rtos::TaskParams hog;
+  hog.name = "hog";
+  hog.period = util::Duration::millis(100);
+  hog.wcet = util::Duration::millis(99);
+  hog.priority = 0;
+  ASSERT_TRUE(nodes[4]->kernel().admit_task(hog).ok());
+  run_for(util::Duration::seconds(1));
+  const auto outcome = ship_to_node_4(
+      *this, kLoop,
+      function_payload(kLoop, vc.functions[kLoop].task, vc.functions[kLoop].algorithm));
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_FALSE(outcome->success);
+  EXPECT_EQ(outcome->failure, "destination failed attestation/admission");
+  EXPECT_EQ(services[4]->mode(kLoop), ControllerMode::kDormant);
+  EXPECT_FALSE(holds_task(*nodes[4], "loop"));
+}
+
+TEST_F(ServiceFixture, MigratedFunctionUnknownToTheReceiverIsRejected) {
+  start();
+  run_for(util::Duration::seconds(1));
+  constexpr FunctionId kUnknown = 77;
+  const auto outcome = ship_to_node_4(
+      *this, kUnknown,
+      function_payload(kUnknown, vc.functions[kLoop].task, vc.functions[kLoop].algorithm));
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_FALSE(outcome->success);
+  EXPECT_FALSE(holds_task(*nodes[4], "loop"));
+}
+
+FaultReportMsg report_on_node_2(VcId vc) {
+  FaultReportMsg report;
+  report.vc = vc;
+  report.function = ServiceFixture::kLoop;
+  report.suspect = 2;
+  report.reporter = 3;
+  report.reason = FaultReason::kImplausibleOutput;
+  report.evidence = 4;
+  return report;
+}
+
+TEST_F(ServiceFixture, NonHeadRelaysAFaultReportTowardItsHead) {
+  start();
+  run_for(util::Duration::seconds(1));
+  // Node 3 addresses node 4, which is not the head; 4 believes in head 1
+  // (a lower id) and forwards the report there.
+  ASSERT_TRUE(nodes[3]->router().send(
+      4, static_cast<std::uint8_t>(MsgType::kFaultReport), report_on_node_2(vc.id).encode()));
+  run_for(util::Duration::seconds(2));
+  ASSERT_EQ(services[1]->failovers().size(), 1u);
+  EXPECT_EQ(services[1]->failovers()[0].demoted, 2);
+  EXPECT_EQ(services[1]->failovers()[0].promoted, 3);
+  EXPECT_EQ(services[3]->mode(kLoop), ControllerMode::kActive);
+}
+
+TEST_F(ServiceFixture, NonHeadDropsAFaultReportWhenItsHeadHasAHigherId) {
+  vc.head = 4;
+  start();
+  run_for(util::Duration::seconds(1));
+  // Node 3 believes in head 4, a higher id than its own: it drops the
+  // report, so forwarding chains only ever descend in id.
+  const auto report = report_on_node_2(vc.id).encode();
+  const auto type = static_cast<std::uint8_t>(MsgType::kFaultReport);
+  ASSERT_TRUE(nodes[2]->router().send(3, type, report));
+  run_for(util::Duration::seconds(2));
+  EXPECT_TRUE(services[4]->failovers().empty());
+  EXPECT_EQ(services[2]->mode(kLoop), ControllerMode::kActive);
+  // The same report sent to the head itself does fail node 2 over.
+  ASSERT_TRUE(nodes[2]->router().send(4, type, report));
+  run_for(util::Duration::seconds(2));
+  EXPECT_EQ(services[4]->failovers().size(), 1u);
+}
+
 TEST_F(ServiceFixture, ExhaustedEscalationRetriesWhenReplicaRejoins) {
   // Fuzzer-found bug #1: the head promoted a node that was down when the
   // ModeCommand was sent, escalation burned through the replica list and
@@ -394,100 +602,6 @@ TEST_F(ServiceFixture, ReplicatedBackupCanTakeOver) {
   nodes[3]->fail();
   run_for(util::Duration::seconds(5));
   EXPECT_EQ(services[4]->mode(kLoop), ControllerMode::kActive);
-}
-
-TEST_F(ServiceFixture, ParametricSetTaskPriority) {
-  start();
-  run_for(util::Duration::millis(500));
-  ParametricCommandMsg cmd;
-  cmd.op = ParametricCommandMsg::Op::kSetTaskPriority;
-  cmd.arg_a = kLoop;
-  cmd.arg_b = 3;
-  ASSERT_TRUE(services[1]->send_parametric(2, cmd));
-  run_for(util::Duration::seconds(1));
-  // Find the control task on node 2 and verify the new priority.
-  bool found = false;
-  for (rtos::TaskId id : nodes[2]->kernel().scheduler().task_ids()) {
-    const auto* tcb = nodes[2]->kernel().scheduler().task(id);
-    if (tcb->params.name == "loop") {
-      EXPECT_EQ(tcb->params.priority, 3);
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST_F(ServiceFixture, ParametricSlotAssignment) {
-  start();
-  run_for(util::Duration::millis(500));
-  ParametricCommandMsg cmd;
-  cmd.op = ParametricCommandMsg::Op::kSetSlotAssignment;
-  cmd.arg_a = 7;  // previously idle slot
-  cmd.arg_b = 3;
-  ASSERT_TRUE(services[1]->send_parametric(2, cmd));
-  run_for(util::Duration::seconds(1));
-  EXPECT_EQ(schedule.tx_of(7), 3);
-}
-
-TEST_F(ServiceFixture, ParametricTriggerSensor) {
-  start();
-  nodes[2]->bind_sensor(5, [] { return 123.0; });
-  run_for(util::Duration::millis(500));
-  ParametricCommandMsg cmd;
-  cmd.op = ParametricCommandMsg::Op::kTriggerSensor;
-  cmd.arg_a = 5;  // channel
-  cmd.arg_b = 6;  // stream
-  ASSERT_TRUE(services[1]->send_parametric(2, cmd));
-  run_for(util::Duration::seconds(1));
-  EXPECT_DOUBLE_EQ(services[1]->stream_value(6), 123.0);
-  EXPECT_DOUBLE_EQ(services[3]->stream_value(6), 123.0);
-}
-
-TEST_F(ServiceFixture, ParametricSetCpuReservation) {
-  start();
-  run_for(util::Duration::millis(500));
-  ParametricCommandMsg cmd;
-  cmd.op = ParametricCommandMsg::Op::kSetCpuReservation;
-  cmd.arg_a = kLoop;
-  cmd.arg_b = 100;   // period, ms
-  cmd.arg_c = 5000;  // budget, us
-  ASSERT_TRUE(services[1]->send_parametric(2, cmd));
-  run_for(util::Duration::seconds(1));
-  // The control task on node 2 now draws from a reservation of that size.
-  bool found = false;
-  for (rtos::TaskId id : nodes[2]->kernel().scheduler().task_ids()) {
-    const auto* tcb = nodes[2]->kernel().scheduler().task(id);
-    if (tcb->params.name != "loop") continue;
-    found = true;
-    const auto* params =
-        nodes[2]->kernel().reservations().cpu_params(tcb->reservation);
-    ASSERT_NE(params, nullptr);
-    EXPECT_EQ(params->period, util::Duration::millis(100));
-    EXPECT_EQ(params->budget, util::Duration::micros(5000));
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST_F(ServiceFixture, ParametricRejectedFromNonHead) {
-  start();
-  run_for(util::Duration::millis(500));
-  ParametricCommandMsg cmd;
-  cmd.op = ParametricCommandMsg::Op::kSetTaskPriority;
-  cmd.arg_a = kLoop;
-  cmd.arg_b = 1;
-  // A non-head service may not issue commands at all.
-  EXPECT_FALSE(services[3]->send_parametric(2, cmd));
-  // And a spoofed command from a non-head source is discarded on receipt.
-  cmd.vc = vc.id;
-  ASSERT_TRUE(nodes[4]->router().send(
-      2, static_cast<std::uint8_t>(MsgType::kParametricCommand), cmd.encode()));
-  run_for(util::Duration::seconds(1));
-  for (rtos::TaskId id : nodes[2]->kernel().scheduler().task_ids()) {
-    const auto* tcb = nodes[2]->kernel().scheduler().task(id);
-    if (tcb->params.name == "loop") {
-      EXPECT_EQ(tcb->params.priority, 8);
-    }
-  }
 }
 
 TEST_F(ServiceFixture, AlgorithmDisseminationHotSwaps) {
