@@ -32,10 +32,6 @@ enum class MsgType : std::uint8_t {
   kHeadBeacon = 0x14,
   // Fault plane
   kFaultReport = 0x20,
-  // Programmable control (paper §3.1: runtime-extensible algorithms). The
-  // paper's §4 parametric control (remote sensor triggering, reservation
-  // and slot changes) is not modelled.
-  kAlgorithmUpdate = 0x41,
   // Migration protocol
   kMigrationOffer = 0x30,
   kMigrationAccept = 0x31,
@@ -200,8 +196,12 @@ struct MembershipHelloMsg : Wire<MembershipHelloMsg> {
   }
 };
 
-/// Programmable control: a new algorithm capsule for a function, installed
-/// after attestation if its version is newer ("remote algorithm activation").
+/// Programmable control (paper §3.1: runtime-extensible algorithms): a new
+/// algorithm capsule for a function, installed after attestation if its
+/// version is newer ("remote algorithm activation"). It travels as a
+/// migration-engine payload of kind 2, never as a datagram of its own. The
+/// paper's §4 parametric control (remote sensor triggering, reservation and
+/// slot changes) is not modelled.
 struct AlgorithmUpdateMsg : Wire<AlgorithmUpdateMsg> {
   VcId vc = 0;
   FunctionId function = 0;

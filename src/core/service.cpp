@@ -151,7 +151,18 @@ util::Status EvmService::install_function(const ControlFunction& function,
       return util::Status::data_loss("capsule for '" + function.name +
                                      "' failed attestation: " + report.failure);
     }
+  }
 
+  // The slots load before admission: an admitted task cannot be taken back.
+  if (slot_image != nullptr) {
+    util::Status status = rt.interpreter->load_slots(*slot_image);
+    if (!status) {
+      if (inserted) functions_.erase(fid);
+      return status;
+    }
+  }
+
+  if (inserted) {
     auto admitted = node_.kernel().admit_task(
         function.task, [this, fid] { run_control_cycle(fid); }, {},
         /*stack_bytes=*/256, /*data_bytes=*/vm::Interpreter::kSlots * 8);
@@ -160,11 +171,6 @@ util::Status EvmService::install_function(const ControlFunction& function,
       return admitted.status();
     }
     rt.task = *admitted;
-  }
-
-  if (slot_image != nullptr) {
-    util::Status status = rt.interpreter->load_slots(*slot_image);
-    if (!status) return status;
   }
 
   rt.mode = ControllerMode::kDormant;  // set_mode below performs activation
@@ -412,7 +418,6 @@ void EvmService::on_datagram(const net::Datagram& d) {
     case MsgType::kFaultReport: handle_fault_report(d); break;
     case MsgType::kMembershipHello: handle_membership_hello(d); break;
     case MsgType::kHeadBeacon: handle_head_beacon(d); break;
-    case MsgType::kAlgorithmUpdate: handle_algorithm_update(d); break;
     case MsgType::kMigrationOffer:
     case MsgType::kMigrationAccept:
     case MsgType::kMigrationReject:
@@ -855,9 +860,7 @@ util::Status EvmService::disseminate_algorithm(FunctionId function,
   const auto encoded = msg.encode();
 
   // Apply locally first (the sender is a replica too, possibly).
-  handle_algorithm_update(net::Datagram{
-      node_.id(), node_.id(), static_cast<std::uint8_t>(MsgType::kAlgorithmUpdate),
-      0, 0, false, {}, encoded});
+  handle_algorithm_update(encoded);
 
   // Capsules exceed one 802.15.4 frame, so they ship per-member through the
   // chunked, acknowledged migration engine (payload kind 2).
@@ -880,9 +883,9 @@ std::uint16_t EvmService::algorithm_version(FunctionId function) const {
   return it == descriptor_.functions.end() ? 0 : it->second.algorithm.version;
 }
 
-void EvmService::handle_algorithm_update(const net::Datagram& d) {
+void EvmService::handle_algorithm_update(std::span<const std::uint8_t> encoded) {
   AlgorithmUpdateMsg msg;
-  if (!AlgorithmUpdateMsg::decode(d.payload, msg) || msg.vc != descriptor_.id) {
+  if (!AlgorithmUpdateMsg::decode(encoded, msg) || msg.vc != descriptor_.id) {
     return;
   }
   auto fit = descriptor_.functions.find(msg.function);
@@ -974,12 +977,9 @@ bool EvmService::accept_migrated_function(const MigrationOfferMsg& meta,
   const std::uint8_t kind = r.u8();
   if (kind == 2) {
     // Algorithm update shipped through the engine: feed the normal handler.
-    auto remaining = r.bytes(r.remaining());
+    const auto remaining = r.bytes(r.remaining());
     if (!r.ok()) return false;
-    handle_algorithm_update(net::Datagram{
-        descriptor_.head, node_.id(),
-        static_cast<std::uint8_t>(MsgType::kAlgorithmUpdate), 0, 0, false, {},
-        std::move(remaining)});
+    handle_algorithm_update(remaining);
     return true;
   }
   if (kind != 1) return false;
@@ -1005,12 +1005,15 @@ bool EvmService::accept_migrated_function(const MigrationOfferMsg& meta,
 
   auto fit = descriptor_.functions.find(function);
   if (fit == descriptor_.functions.end()) return false;
-  // The migrated capsule is authoritative (may be newer than design-time).
+  // The migrated capsule is authoritative (may be newer than design-time),
+  // once it installs; until then the receiver keeps its own copy.
+  ControlFunction previous = fit->second;
   fit->second.algorithm = capsule;
   fit->second.task = snapshot.params;
 
   util::Status status = install_function(fit->second, target_mode, &slot_image);
   if (!status) {
+    fit->second = std::move(previous);
     EVM_WARN(kTag, "node " << node_.id() << " failed to install migrated function: "
                            << status.to_string());
     return false;

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/arbiter.hpp"
@@ -213,7 +214,9 @@ class EvmService {
   /// log its cause, record its failover, send (or self-apply) its mode
   /// commands and schedule its deadlines.
   void apply(const HeadArbiter::Decision& decision);
-  void handle_algorithm_update(const net::Datagram& d);
+  /// Apply an encoded AlgorithmUpdateMsg: the local half of
+  /// disseminate_algorithm(), and what a kind-2 transfer payload carries.
+  void handle_algorithm_update(std::span<const std::uint8_t> encoded);
   void transfer_function(FunctionId function, net::NodeId dest,
                          ControllerMode target_mode, bool deactivate_source,
                          std::function<void(const MigrationOutcome&)> on_done);

@@ -2,15 +2,59 @@
 // global time; nodes only observe it through their drifting oscillator plus
 // whatever offset correction time-sync gives them. RT-Link's guard slots
 // exist exactly because of the error this models.
+//
+// A time-sync reception reaches the clock as a draw, not a value: the pulse
+// hands over its nominal instant, the sequence number its event would have
+// taken, and the two raw uniforms of the node's detection latency
+// (PulseJitter). The clock computes that latency, and with it the instant
+// the reception lands, only when a read needs it. While the simulator's
+// frontier is before the pulse the reception cannot have landed, and once
+// the frontier is past nominal + jitter_max it must have, so neither case
+// needs the latency. Only a read inside that window, or the first read of
+// the state the reception left, computes it, once. A reception superseded
+// by the next pulse's before any read never computes it at all.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
 #include "util/time.hpp"
 
 namespace evm::net {
+
+/// Detection latency of one time-sync pulse reception: the magnitude of a
+/// normal with std-dev `sigma`, capped at `max` (>= 0). It is held as the
+/// two uniforms of its Box-Muller draw and computed from them on the first
+/// value() call only. A default-constructed one is zero.
+class PulseJitter {
+ public:
+  PulseJitter() = default;
+  PulseJitter(double u1, double u2, util::Duration sigma, util::Duration max)
+      : u1_(u1), u2_(u2), sigma_(sigma), max_(max), ns_(-1) {}
+
+  /// Upper bound of value(), known without computing it.
+  util::Duration max() const { return max_; }
+
+  util::Duration value() const {
+    if (ns_ < 0) {
+      double ns = std::abs(
+          util::Rng::normal_from(u1_, u2_, 0.0, static_cast<double>(sigma_.ns())));
+      if (ns > static_cast<double>(max_.ns())) ns = static_cast<double>(max_.ns());
+      ns_ = static_cast<std::int64_t>(ns);
+    }
+    return util::Duration(ns_);
+  }
+
+ private:
+  double u1_ = 0.0;
+  double u2_ = 0.0;
+  util::Duration sigma_;
+  util::Duration max_;
+  mutable std::int64_t ns_ = 0;  // -1 until computed
+};
 
 class NodeClock {
  public:
@@ -23,9 +67,9 @@ class NodeClock {
 
   /// Local reading at true time `global`.
   util::TimePoint local_time(util::TimePoint global) const {
-    resolve();
+    settle();
     const double scaled =
-        static_cast<double>((global - epoch_).ns()) * (1.0 + drift_ppm_ * 1e-6);
+        static_cast<double>((global - epoch()).ns()) * (1.0 + drift_ppm_ * 1e-6);
     return local_epoch_ + util::Duration(static_cast<std::int64_t>(scaled));
   }
 
@@ -37,57 +81,77 @@ class NodeClock {
   /// Inverse mapping: the true time at which this clock will read `local`.
   /// Used when a node schedules a wakeup for a local-time slot boundary.
   util::TimePoint global_for(util::TimePoint local) const {
-    resolve();
+    settle();
     const double scaled =
         static_cast<double>((local - local_epoch_).ns()) / (1.0 + drift_ppm_ * 1e-6);
-    return epoch_ + util::Duration(static_cast<std::int64_t>(scaled));
+    return epoch() + util::Duration(static_cast<std::int64_t>(scaled));
   }
 
   /// Discipline the clock now: the node believes true time is `reference`
   /// at true time `global`. A reception still pending stays pending.
   void discipline(util::TimePoint global, util::TimePoint reference) {
-    resolve();
-    epoch_ = global;
+    settle();
+    epoch_base_ = global;
+    epoch_jitter_ = PulseJitter();
     local_epoch_ = reference;
   }
 
-  /// Time-sync reception, applied lazily: the clock disciplines itself to
-  /// `reference` at true time `at` as if an event keyed (at, seq) had run,
-  /// where `seq` came from sim.reserve_sequence(). Reads resolve it against
-  /// sim.has_dispatched(at, seq), so each sees the state that event would
+  /// Time-sync reception of the pulse at `nominal`, applied lazily: the
+  /// clock disciplines itself to `nominal` at true time
+  /// nominal + jitter.value(), as if an event keyed (that instant, seq) had
+  /// run, where `seq` came from sim.reserve_sequence(). Reads resolve it
+  /// against sim.has_dispatched(), so each sees the state that event would
   /// have left; `sim` must therefore outlive the clock's reads. At most one
   /// reception may be pending: a second one before the first has taken
   /// effect throws std::logic_error.
-  void receive(const sim::Simulator& sim, util::TimePoint at, std::uint64_t seq,
-               util::TimePoint reference) {
-    resolve();
+  void receive(const sim::Simulator& sim, util::TimePoint nominal, std::uint64_t seq,
+               const PulseJitter& jitter) {
+    settle();
     if (pending_seq_ != 0) {
       throw std::logic_error(
           "NodeClock: time-sync reception before the previous one took effect");
     }
     sim_ = &sim;
-    pending_at_ = at;
+    pending_nominal_ = nominal;
     pending_seq_ = seq;
-    pending_reference_ = reference;
+    pending_jitter_ = jitter;
   }
 
  private:
-  void resolve() const {
-    if (pending_seq_ != 0 && sim_->has_dispatched(pending_at_, pending_seq_)) {
-      epoch_ = pending_at_;
-      local_epoch_ = pending_reference_;
+  /// Whether the pending reception has taken effect. A frontier before the
+  /// pulse, or past the latest instant the reception can land, decides it
+  /// without computing the jitter.
+  bool landed() const {
+    if (!sim_->has_dispatched(pending_nominal_, 0)) return false;
+    if (sim_->has_dispatched(pending_nominal_ + pending_jitter_.max(), ~0ull)) return true;
+    return sim_->has_dispatched(pending_nominal_ + pending_jitter_.value(), pending_seq_);
+  }
+
+  /// Adopt a pending reception that has taken effect; its jitter stays
+  /// uncomputed until epoch() needs it.
+  void settle() const {
+    if (pending_seq_ != 0 && landed()) {
+      epoch_base_ = pending_nominal_;
+      epoch_jitter_ = pending_jitter_;
+      local_epoch_ = pending_nominal_;
       pending_seq_ = 0;
     }
   }
 
+  util::TimePoint epoch() const { return epoch_base_ + epoch_jitter_.value(); }
+
   double drift_ppm_;
-  mutable util::TimePoint epoch_;        // true time of last discipline
-  mutable util::TimePoint local_epoch_;  // local reading assigned at that instant
-  // Pending reception (pending_seq_ == 0: none); applied by resolve().
+  // True time of the last discipline is epoch_base_ + epoch_jitter_ (the
+  // jitter is zero unless a reception did it); local_epoch_ is the local
+  // reading assigned at that instant.
+  mutable util::TimePoint epoch_base_;
+  mutable PulseJitter epoch_jitter_;
+  mutable util::TimePoint local_epoch_;
+  // Pending reception (pending_seq_ == 0: none); adopted by settle().
   const sim::Simulator* sim_ = nullptr;
-  util::TimePoint pending_at_;
+  util::TimePoint pending_nominal_;
   mutable std::uint64_t pending_seq_ = 0;
-  util::TimePoint pending_reference_;
+  PulseJitter pending_jitter_;
 };
 
 }  // namespace evm::net

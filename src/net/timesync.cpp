@@ -1,7 +1,6 @@
 #include "net/timesync.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace evm::net {
@@ -13,14 +12,32 @@ TimeSync::TimeSync(sim::Simulator& sim, TimeSyncParams params)
         "TimeSync: period must exceed jitter_max, or a reception could still "
         "be pending at the next pulse");
   }
+  if (params_.jitter_max < util::Duration::zero()) {
+    throw std::invalid_argument("TimeSync: jitter_max must not be negative");
+  }
+}
+
+std::vector<TimeSync::Subscriber>::iterator TimeSync::find(NodeId id) {
+  return std::lower_bound(
+      subscribers_.begin(), subscribers_.end(), id,
+      [](const Subscriber& sub, NodeId key) { return sub.id < key; });
 }
 
 void TimeSync::attach(NodeId id, NodeClock& clock,
                       std::function<void(util::Duration)> on_pulse) {
-  subscribers_[id] = Subscriber{&clock, std::move(on_pulse)};
+  const auto it = find(id);
+  if (it != subscribers_.end() && it->id == id) {
+    it->clock = &clock;
+    it->on_pulse = std::move(on_pulse);
+  } else {
+    subscribers_.insert(it, Subscriber{id, &clock, std::move(on_pulse)});
+  }
 }
 
-void TimeSync::detach(NodeId id) { subscribers_.erase(id); }
+void TimeSync::detach(NodeId id) {
+  const auto it = find(id);
+  if (it != subscribers_.end() && it->id == id) subscribers_.erase(it);
+}
 
 void TimeSync::start() {
   if (running_) return;
@@ -38,32 +55,26 @@ void TimeSync::stop() {
   sim_.cancel(next_pulse_);
 }
 
-util::Duration TimeSync::draw_jitter() {
-  // Detection latency: positive, roughly half-normal, hard-capped by the
-  // AM receiver circuit's time constant.
-  double ns = std::abs(sim_.rng().normal(0.0, static_cast<double>(params_.jitter_sigma.ns())));
-  if (ns > static_cast<double>(params_.jitter_max.ns())) {
-    ns = static_cast<double>(params_.jitter_max.ns());
-  }
-  return util::Duration(static_cast<std::int64_t>(ns));
-}
-
 void TimeSync::emit_pulse() {
   ++pulses_;
   const util::TimePoint nominal = sim_.now();
   last_pulse_ = nominal;
-  for (auto& [id, sub] : subscribers_) {
-    (void)id;
-    if (sim_.rng().bernoulli(params_.miss_probability)) {
+  util::Rng& rng = sim_.rng();
+  for (Subscriber& sub : subscribers_) {
+    if (rng.bernoulli(params_.miss_probability)) {
       ++missed_;
       continue;
     }
-    const util::Duration jitter = draw_jitter();
+    // Detection latency: positive, roughly half-normal, hard-capped by the
+    // AM receiver circuit's time constant. Drawn now, computed when needed.
+    const double u1 = rng.next_double();
+    const double u2 = rng.next_double();
+    const PulseJitter jitter(u1, u2, params_.jitter_sigma, params_.jitter_max);
     // The node detects the pulse `jitter` late but stamps it with the
     // nominal pulse time, so its clock ends up `jitter` behind truth. The
     // reception takes the sequence number its own event would have taken.
-    sub.clock->receive(sim_, nominal + jitter, sim_.reserve_sequence(), nominal);
-    if (sub.on_pulse) sub.on_pulse(jitter);
+    sub.clock->receive(sim_, nominal, sim_.reserve_sequence(), jitter);
+    if (sub.on_pulse) sub.on_pulse(jitter.value());
   }
   next_pulse_ = sim_.schedule_after(params_.period, [this] { emit_pulse(); });
 }

@@ -4,13 +4,20 @@
 // per-node reception jitter and occasional missed pulses; nodes discipline
 // their drifting crystals from it (see NodeClock).
 //
-// A pulse is one event. Each reception is handed to its clock as a pending
-// (when, reserved seq) occurrence that the clock applies on its next read,
-// so receptions cost no events yet order exactly as if each were one.
+// A pulse is one event. At the pulse it takes, for each attached node in
+// ascending id order, the draws it always took from the simulator's shared
+// stream: the miss Bernoulli, then the two uniforms of the jitter's normal.
+// It reserves the sequence number the reception's own event would have
+// taken and hands the clock the nominal instant, that number and the two
+// uniforms (PulseJitter). The jitter itself is computed only when a read of
+// the clock needs it, or at once for an on_pulse hook; both take it from
+// the same draw, so they agree bit for bit. Receptions thus cost no events
+// and, unless read, no transcendental maths, yet order exactly as if each
+// were one event.
 #pragma once
 
 #include <functional>
-#include <map>
+#include <vector>
 
 #include "net/clock.hpp"
 #include "net/packet.hpp"
@@ -33,14 +40,15 @@ struct TimeSyncParams {
 
 class TimeSync {
  public:
-  /// Throws std::invalid_argument unless params.period > params.jitter_max.
+  /// Throws std::invalid_argument unless
+  /// params.period > params.jitter_max >= 0.
   TimeSync(sim::Simulator& sim, TimeSyncParams params = {});
 
   /// Register a node's clock for disciplining; a clock may be attached under
   /// one id only. `on_pulse` (optional) fires at the pulse instant, inside
   /// the pulse event and before any reception of that pulse has taken
-  /// effect, with the jitter drawn for this node's reception. It is not
-  /// called for a missed pulse and must not call back into this TimeSync.
+  /// effect, with the jitter computed from this node's reception draw. It is
+  /// not called for a missed pulse and must not call back into this TimeSync.
   void attach(NodeId id, NodeClock& clock,
               std::function<void(util::Duration jitter)> on_pulse = {});
   /// Stop disciplining `id` from the next pulse on; a reception already
@@ -60,16 +68,18 @@ class TimeSync {
 
  private:
   struct Subscriber {
+    NodeId id;
     NodeClock* clock;
     std::function<void(util::Duration)> on_pulse;
   };
 
   void emit_pulse();
-  util::Duration draw_jitter();
+  /// First subscriber whose id is not below `id`.
+  std::vector<Subscriber>::iterator find(NodeId id);
 
   sim::Simulator& sim_;
   TimeSyncParams params_;
-  std::map<NodeId, Subscriber> subscribers_;
+  std::vector<Subscriber> subscribers_;  // sorted by id
   std::size_t pulses_ = 0;
   std::size_t missed_ = 0;
   bool running_ = false;

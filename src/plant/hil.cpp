@@ -12,15 +12,12 @@ void HilHarness::start() {
   sim_.schedule_after(config_.record_period, [this] { record_samples(); });
 }
 
-void HilHarness::stop() { running_ = false; }
-
 void HilHarness::record(const std::string& series, const std::string& variable) {
   (void)plant_.read(variable);  // validate early
   recordings_.emplace_back(series, variable);
 }
 
 void HilHarness::step_plant() {
-  if (!running_) return;
   plant_.step(config_.plant_step.to_seconds());
   ++steps_;
   for (const auto& hook : hooks_) hook();
@@ -28,7 +25,6 @@ void HilHarness::step_plant() {
 }
 
 void HilHarness::record_samples() {
-  if (!running_) return;
   for (const auto& [series, variable] : recordings_) {
     trace_.record(series, sim_.now(), plant_.read(variable));
   }

@@ -28,7 +28,6 @@ class HilHarness {
 
   /// Begin stepping the plant (and recording, if series were added).
   void start();
-  void stop();
 
   /// Record `variable` into the trace under `series` once per record period.
   void record(const std::string& series, const std::string& variable);

@@ -68,8 +68,14 @@ class Rng {
 
   /// Standard normal via Box-Muller (one value per call; simple > fast here).
   double normal(double mean = 0.0, double stddev = 1.0) {
-    double u1 = next_double();
-    double u2 = next_double();
+    const double u1 = next_double();
+    const double u2 = next_double();
+    return normal_from(u1, u2, mean, stddev);
+  }
+
+  /// The Box-Muller transform normal() applies to its two uniforms, for a
+  /// caller that draws them now and needs the value only later, if at all.
+  static double normal_from(double u1, double u2, double mean, double stddev) {
     if (u1 < 1e-300) u1 = 1e-300;
     const double mag = std::sqrt(-2.0 * std::log(u1));
     return mean + stddev * mag * std::cos(6.28318530717958647692 * u2);

@@ -351,9 +351,9 @@ TEST_F(ServiceFixture, VmSendPublishesOnTheDataPlane) {
 
 // The payload EvmService ships to move a function: kind 1, function id,
 // target mode, TCB snapshot, VM data segment and code capsule.
-std::vector<std::uint8_t> function_payload(FunctionId function,
-                                           const rtos::TaskParams& task,
-                                           const vm::Capsule& capsule) {
+std::vector<std::uint8_t> function_payload(
+    FunctionId function, const rtos::TaskParams& task, const vm::Capsule& capsule,
+    std::size_t slot_image_bytes = vm::Interpreter::kSlots * 8) {
   rtos::TaskSnapshot snapshot;
   snapshot.params = task;
   util::ByteWriter w;
@@ -361,7 +361,7 @@ std::vector<std::uint8_t> function_payload(FunctionId function,
   w.u16(function);
   w.u8(static_cast<std::uint8_t>(ControllerMode::kActive));
   w.blob(snapshot.encode());
-  w.blob(std::vector<std::uint8_t>(vm::Interpreter::kSlots * 8, 0));
+  w.blob(std::vector<std::uint8_t>(slot_image_bytes, 0));
   w.blob(capsule.encode());
   return w.take();
 }
@@ -414,6 +414,43 @@ TEST_F(ServiceFixture, MigratedFunctionTheReceiverCannotAdmitIsRejected) {
   EXPECT_EQ(outcome->failure, "destination failed attestation/admission");
   EXPECT_EQ(services[4]->mode(kLoop), ControllerMode::kDormant);
   EXPECT_FALSE(holds_task(*nodes[4], "loop"));
+}
+
+TEST_F(ServiceFixture, MigrationTheReceiverCannotAdmitKeepsItsCopyOfTheFunction) {
+  start();
+  rtos::TaskParams hog;
+  hog.name = "hog";
+  hog.period = util::Duration::millis(100);
+  hog.wcet = util::Duration::millis(99);
+  hog.priority = 0;
+  ASSERT_TRUE(nodes[4]->kernel().admit_task(hog).ok());
+  run_for(util::Duration::seconds(1));
+  vm::Capsule capsule = vc.functions[kLoop].algorithm;
+  capsule.version = 5;
+  capsule.seal();
+  const auto outcome = ship_to_node_4(
+      *this, kLoop, function_payload(kLoop, vc.functions[kLoop].task, capsule));
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_FALSE(outcome->success);
+  // The shipped v5 never ran here, so it must not make a later genuine
+  // update with a version up to 5 look stale.
+  EXPECT_EQ(services[4]->algorithm_version(kLoop), 0);
+}
+
+TEST_F(ServiceFixture, MigratedSlotImageOfTheWrongSizeLeavesNothingInstalled) {
+  start();
+  run_for(util::Duration::seconds(1));
+  const std::size_t ram_before = nodes[4]->kernel().ram_used();
+  const auto outcome = ship_to_node_4(
+      *this, kLoop,
+      function_payload(kLoop, vc.functions[kLoop].task, vc.functions[kLoop].algorithm,
+                       /*slot_image_bytes=*/8));
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_FALSE(outcome->success);
+  EXPECT_FALSE(holds_task(*nodes[4], "loop"));
+  EXPECT_EQ(nodes[4]->kernel().ram_used(), ram_before);
+  EXPECT_EQ(services[4]->seed_function_slot(kLoop, 0, 1.0).code(),
+            util::StatusCode::kNotFound);
 }
 
 TEST_F(ServiceFixture, MigratedFunctionUnknownToTheReceiverIsRejected) {

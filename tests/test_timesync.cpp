@@ -151,6 +151,12 @@ TEST(TimeSync, DetachStopsDisciplining) {
   EXPECT_GT(std::abs(err.us()), 5000);
 }
 
+// A jitter of exactly `max`: u1 = 0 makes the normal's magnitude far exceed
+// any cap below 37 sigma.
+PulseJitter capped_jitter(util::Duration max) {
+  return PulseJitter(0.0, 0.0, max, max);
+}
+
 TEST(NodeClock, ReceptionTakesEffectAtItsOwnEventKey) {
   sim::Simulator sim(1);
   NodeClock clock(100.0);
@@ -159,7 +165,7 @@ TEST(NodeClock, ReceptionTakesEffectAtItsOwnEventKey) {
   std::vector<std::int64_t> reads;
   auto read = [&] { reads.push_back(clock.local_time(sim.now()).ns()); };
   sim.schedule_at(at, read);
-  clock.receive(sim, at, sim.reserve_sequence(), reference);
+  clock.receive(sim, reference, sim.reserve_sequence(), capped_jitter(at - reference));
   sim.schedule_at(at, read);
   sim.run_all();
   ASSERT_EQ(reads.size(), 2u);
@@ -170,14 +176,14 @@ TEST(NodeClock, ReceptionTakesEffectAtItsOwnEventKey) {
 TEST(NodeClock, SecondPendingReceptionIsRejected) {
   sim::Simulator sim(1);
   NodeClock clock(0.0);
-  clock.receive(sim, util::TimePoint(100), sim.reserve_sequence(), util::TimePoint(0));
+  clock.receive(sim, util::TimePoint(100), sim.reserve_sequence(), PulseJitter());
   EXPECT_THROW(clock.receive(sim, util::TimePoint(200), sim.reserve_sequence(),
-                             util::TimePoint(0)),
+                             PulseJitter()),
                std::logic_error);
   // Once the first has taken effect, the next one is welcome.
   sim.run_until(util::TimePoint(100));
   EXPECT_NO_THROW(clock.receive(sim, util::TimePoint(300), sim.reserve_sequence(),
-                                util::TimePoint(0)));
+                                PulseJitter()));
 }
 
 TEST(TimeSync, RejectsPeriodNotAboveJitterMax) {
@@ -190,6 +196,29 @@ TEST(TimeSync, RejectsPeriodNotAboveJitterMax) {
   EXPECT_THROW(TimeSync(sim, params), std::invalid_argument);
   params.period = params.jitter_max + util::Duration(1);
   EXPECT_NO_THROW(TimeSync(sim, params));
+  // A negative cap would let a reception land before its own pulse.
+  params.jitter_max = util::Duration(-1);
+  EXPECT_THROW(TimeSync(sim, params), std::invalid_argument);
+}
+
+TEST(PulseJitter, MatchesTheCappedMagnitudeOfTheNormalDrawnFromTheSameUniforms) {
+  const util::Duration sigma = util::Duration::micros(40);
+  const util::Duration max = util::Duration::micros(100);
+  util::Rng uniforms(5);
+  util::Rng normals(5);
+  std::size_t capped = 0;
+  for (int i = 0; i < 10000; ++i) {
+    const double u1 = uniforms.next_double();
+    const double u2 = uniforms.next_double();
+    const PulseJitter jitter(u1, u2, sigma, max);
+    const double ns = std::min(std::abs(normals.normal(0.0, static_cast<double>(sigma.ns()))),
+                               static_cast<double>(max.ns()));
+    ASSERT_EQ(jitter.value().ns(), static_cast<std::int64_t>(ns)) << "draw " << i;
+    EXPECT_EQ(jitter.max(), max);
+    capped += jitter.value() == max ? 1 : 0;
+  }
+  EXPECT_GT(capped, 0u);  // 100 us is 2.5 sigma: ~1% of draws
+  EXPECT_EQ(PulseJitter().value(), util::Duration::zero());
 }
 
 TEST(TimeSync, ClockAttachedTwiceIsRejected) {
@@ -286,7 +315,7 @@ class EagerTimeSync {
  public:
   EagerTimeSync(sim::Simulator& sim, TimeSyncParams params)
       : sim_(sim), params_(params) {}
-  void attach(NodeId id, NodeClock& clock, std::function<void(util::Duration)> hook) {
+  void attach(NodeId id, NodeClock& clock, std::function<void(util::Duration)> hook = {}) {
     subscribers_[id] = Subscriber{&clock, std::move(hook)};
   }
   void detach(NodeId id) { subscribers_.erase(id); }
@@ -398,6 +427,143 @@ TEST(TimeSync, LazyReceptionsReadExactlyLikeOneEventPerReception) {
   // The only difference: receptions no longer cost an event each.
   std::size_t landed = 0;
   for (const util::TimePoint t : eager.receptions) landed += t <= horizon ? 1 : 0;
+  EXPECT_EQ(eager.dispatched - lazy.dispatched, landed);
+}
+
+/// A discipline() of one clock at one instant, to a reference 12345 ns
+/// behind truth.
+struct Discipline {
+  std::size_t clock;
+  util::TimePoint at;
+};
+
+/// The world of probe_run without any on_pulse hook, so no jitter is
+/// computed before a read needs it. With `learn`, hooks record each
+/// reception instant and its node instead, and nothing else changes: the
+/// hooks read nothing the draws depend on. Probes run at `early` (after a
+/// discipline at the same instant), at `late` and after run_until(480 ms)
+/// and run_until(500 ms). A late probe is scheduled 1 ns before its
+/// instant, so one at a reception instant runs just after the reception.
+/// Pass none in (250 ms, 480 ms) and every clock goes unread for over 20
+/// pulses.
+template <typename Sync>
+ProbeRun hookless_probe_run(const std::vector<util::TimePoint>& early,
+                            const std::vector<util::TimePoint>& late,
+                            const std::vector<Discipline>& disciplines, bool learn,
+                            std::vector<NodeId>* receivers = nullptr) {
+  sim::Simulator sim(31);
+  TimeSyncParams params;
+  params.period = util::Duration::millis(10);
+  params.jitter_sigma = util::Duration::micros(60);
+  params.jitter_max = util::Duration::micros(150);
+  params.miss_probability = 0.2;
+  Sync sync(sim, params);
+  std::array<NodeClock, 4> clocks{NodeClock(35.0), NodeClock(-20.0),
+                                  NodeClock(400.0), NodeClock(-350.0)};
+  ProbeRun run;
+  const auto probe = [&] {
+    const util::TimePoint now = sim.now();
+    for (const NodeClock& clock : clocks) {
+      run.reads.push_back(now.ns());
+      run.reads.push_back(clock.local_time(now).ns());
+      run.reads.push_back(clock.error(now).ns());
+      run.reads.push_back(clock.global_for(now).ns());
+    }
+  };
+  for (const Discipline& d : disciplines) {
+    sim.schedule_at(d.at, [&clocks, &sim, d] {
+      clocks[d.clock].discipline(sim.now(), sim.now() - util::Duration(12345));
+    });
+  }
+  for (const util::TimePoint t : early) sim.schedule_at(t, probe);
+  for (const util::TimePoint t : late) {
+    sim.schedule_at(t - util::Duration(1), [&sim, &probe, t] { sim.schedule_at(t, probe); });
+  }
+  for (std::size_t i = 0; i < clocks.size(); ++i) {
+    const auto id = static_cast<NodeId>(i + 1);
+    if (!learn) {
+      sync.attach(id, clocks[i]);
+      continue;
+    }
+    sync.attach(id, clocks[i], [&, id](util::Duration jitter) {
+      run.receptions.push_back(sim.now() + jitter);
+      if (receivers != nullptr) receivers->push_back(id);
+    });
+  }
+  const auto ms = [](int n) { return util::TimePoint::zero() + util::Duration::millis(n); };
+  sim.schedule_at(ms(200) + util::Duration(1), [&] { sync.detach(2); });
+  sync.start();
+  sim.run_until(ms(480));
+  probe();
+  sim.run_until(ms(480) + util::Duration::micros(40));
+  probe();
+  sim.run_until(ms(500));
+  probe();
+  run.dispatched = sim.dispatched_events();
+  return run;
+}
+
+TEST(TimeSync, HooklessLazyReceptionsReadExactlyLikeOneEventPerReception) {
+  const auto ms = [](int n) { return util::TimePoint::zero() + util::Duration::millis(n); };
+  const util::Duration period = util::Duration::millis(10);
+  std::vector<NodeId> receivers;
+  const ProbeRun learn = hookless_probe_run<EagerTimeSync>({}, {}, {}, true, &receivers);
+  ASSERT_GT(learn.receptions.size(), 100u);
+  ASSERT_EQ(receivers.size(), learn.receptions.size());
+
+  // Reads at every reception instant, before and after the reception, and
+  // 1 ns either side, outside the unread stretch (250 ms, 480 ms).
+  const auto outside_stretch = [&](util::TimePoint t) { return t <= ms(250) || t >= ms(480); };
+  std::vector<util::TimePoint> early;
+  std::vector<util::TimePoint> late;
+  for (const util::TimePoint t : learn.receptions) {
+    if (t > ms(500) || !outside_stretch(t)) continue;
+    for (const std::int64_t d : {-1, 0, 1}) early.push_back(t + util::Duration(d));
+    late.push_back(t);
+  }
+  util::Rng instants(78);
+  for (int i = 0; i < 400; ++i) {
+    const util::TimePoint t(static_cast<std::int64_t>(instants.uniform(0.0, 5e8)));
+    if (outside_stretch(t)) early.push_back(t);
+  }
+  // Late in the stretch, after ten unread pulses or more: discipline node
+  // 1's clock between a pulse and its reception of that pulse, and node
+  // 3's just after its reception landed, each read right after.
+  std::vector<Discipline> disciplines;
+  const auto pick = [&](NodeId node, util::TimePoint from, bool before_landing) {
+    for (std::size_t i = 0; i < learn.receptions.size(); ++i) {
+      const util::TimePoint t = learn.receptions[i];
+      const util::TimePoint nominal(t.ns() - t.ns() % period.ns());
+      if (receivers[i] != node || nominal < from || t - nominal < util::Duration(2)) continue;
+      disciplines.push_back({static_cast<std::size_t>(node - 1),
+                             before_landing ? nominal + util::Duration(1)
+                                            : t + util::Duration(1)});
+      return;
+    }
+  };
+  pick(1, ms(350), true);
+  pick(3, ms(400), false);
+  ASSERT_EQ(disciplines.size(), 2u);
+  for (const Discipline& d : disciplines) {
+    ASSERT_LT(d.at, ms(480));
+    early.push_back(d.at);
+  }
+
+  const ProbeRun eager = hookless_probe_run<EagerTimeSync>(early, late, disciplines, false);
+  const ProbeRun lazy = hookless_probe_run<TimeSync>(early, late, disciplines, false);
+  ASSERT_EQ(lazy.reads.size(), eager.reads.size());
+  for (std::size_t i = 0; i < eager.reads.size(); ++i) {
+    ASSERT_EQ(lazy.reads[i], eager.reads[i]) << "read " << i;
+  }
+  // Each disciplined state shows at the read right after its discipline
+  // (a probe pushes now, then per clock four values).
+  for (const Discipline& d : disciplines) {
+    const auto at = std::find(eager.reads.begin(), eager.reads.end(), d.at.ns());
+    ASSERT_NE(at, eager.reads.end());
+    EXPECT_EQ(at[4 * static_cast<std::ptrdiff_t>(d.clock) + 1], d.at.ns() - 12345);
+  }
+  std::size_t landed = 0;
+  for (const util::TimePoint t : learn.receptions) landed += t <= ms(500) ? 1 : 0;
   EXPECT_EQ(eager.dispatched - lazy.dispatched, landed);
 }
 
