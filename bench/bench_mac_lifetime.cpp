@@ -102,10 +102,12 @@ struct Harness {
 
 RunResult run_rtlink(int slots_per_frame, util::Duration event_interval,
                      util::Duration guard = util::Duration::micros(200)) {
+  // Declared before the harness, which holds the MACs: an RtLink must be
+  // destroyed before its clock.
+  std::map<NodeId, std::unique_ptr<NodeClock>> clocks;
   Harness h;
   RtLinkSchedule schedule(slots_per_frame, util::Duration::millis(10), guard);
   TimeSync sync(h.sim, {});
-  std::map<NodeId, std::unique_ptr<NodeClock>> clocks;
 
   // Sensors own slots 1..3; the sink owns slot 0. Only the sink listens to
   // sensor slots; sensors listen to the sink's slot (commands).

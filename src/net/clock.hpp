@@ -13,6 +13,15 @@
 // needs the latency. Only a read inside that window, or the first read of
 // the state the reception left, computes it, once. A reception superseded
 // by the next pulse's before any read never computes it at all.
+//
+// Frame planning (RT-Link's hot path): each pulse also tells every attached
+// clock the next pulse's nominal instant, missed pulse or not. Until then
+// the mapping can change only when the pending reception lands, so a
+// clock's listener (its node's RtLink) plans every frame that starts before
+// that instant at once, through mapping_at(), instead of taking one event
+// per frame. A drift change or a discipline() moves the mapping now, and a
+// pulse train that stops leaves the listener nothing to plan up to; the
+// clock tells its listener in each case.
 #pragma once
 
 #include <cmath>
@@ -56,6 +65,34 @@ class PulseJitter {
   mutable std::int64_t ns_ = 0;  // -1 until computed
 };
 
+/// Told by a NodeClock whenever what it can promise about its mapping
+/// changes: a pulse announced the next one, the announced pulse will not
+/// come, or the mapping moved now (a drift change or a discipline()).
+class ClockListener {
+ public:
+  virtual void on_clock_change() = 0;
+
+ protected:
+  ~ClockListener() = default;
+};
+
+/// A local/true time mapping frozen at one instant: the clock reads
+/// `local_epoch` at true time `epoch` and runs at `rate` from there.
+struct ClockMapping {
+  util::TimePoint epoch;
+  util::TimePoint local_epoch;
+  double rate;
+
+  util::TimePoint local_time(util::TimePoint global) const {
+    const double scaled = static_cast<double>((global - epoch).ns()) * rate;
+    return local_epoch + util::Duration(static_cast<std::int64_t>(scaled));
+  }
+  util::TimePoint global_for(util::TimePoint local) const {
+    const double scaled = static_cast<double>((local - local_epoch).ns()) / rate;
+    return epoch + util::Duration(static_cast<std::int64_t>(scaled));
+  }
+};
+
 class NodeClock {
  public:
   /// drift_ppm: crystal frequency error in parts-per-million (typ. ±10..40
@@ -63,14 +100,21 @@ class NodeClock {
   explicit NodeClock(double drift_ppm = 0.0) : drift_ppm_(drift_ppm) {}
 
   double drift_ppm() const { return drift_ppm_; }
-  void set_drift_ppm(double ppm) { drift_ppm_ = ppm; }
+  void set_drift_ppm(double ppm) {
+    drift_ppm_ = ppm;
+    notify();
+  }
+
+  /// The one listener told of every change (nullptr clears it); it must
+  /// stay valid until cleared.
+  void set_listener(ClockListener* listener) { listener_ = listener; }
+  /// The listener needs no word of a pulse announced for `t` or earlier
+  /// (RtLink: it has planned every frame that starts before `t`).
+  void set_quiet_until(util::TimePoint t) { quiet_until_ = t; }
 
   /// Local reading at true time `global`.
   util::TimePoint local_time(util::TimePoint global) const {
-    settle();
-    const double scaled =
-        static_cast<double>((global - epoch()).ns()) * (1.0 + drift_ppm_ * 1e-6);
-    return local_epoch_ + util::Duration(static_cast<std::int64_t>(scaled));
+    return current().local_time(global);
   }
 
   /// Error of the local clock versus true time, in ns.
@@ -81,10 +125,19 @@ class NodeClock {
   /// Inverse mapping: the true time at which this clock will read `local`.
   /// Used when a node schedules a wakeup for a local-time slot boundary.
   util::TimePoint global_for(util::TimePoint local) const {
-    settle();
-    const double scaled =
-        static_cast<double>((local - local_epoch_).ns()) / (1.0 + drift_ppm_ * 1e-6);
-    return epoch() + util::Duration(static_cast<std::int64_t>(scaled));
+    return current().global_for(local);
+  }
+
+  /// The mapping that will be in force at true time `at`, as far as the
+  /// clock knows now: the pending reception counts only if it lands
+  /// strictly before `at`. At `at` <= now it is the mapping in force now.
+  ClockMapping mapping_at(util::TimePoint at) const {
+    const ClockMapping now = current();
+    if (pending_seq_ != 0 && at > pending_nominal_ && at > sim_->now()) {
+      const util::TimePoint lands = pending_nominal_ + pending_jitter_.value();
+      if (lands < at) return ClockMapping{lands, pending_nominal_, now.rate};
+    }
+    return now;
   }
 
   /// Discipline the clock now: the node believes true time is `reference`
@@ -94,7 +147,26 @@ class NodeClock {
     epoch_base_ = global;
     epoch_jitter_ = PulseJitter();
     local_epoch_ = reference;
+    notify();
   }
+
+  /// TimeSync's announcement, at each pulse, of the next pulse's nominal
+  /// instant; until then only the pending reception moves the mapping. The
+  /// next pulse the clock hears must be that one, unless expect_no_pulse()
+  /// comes first (TimeSync keeps to this). The listener hears of it only if
+  /// it falls after the quiet_until instant.
+  void expect_pulse(util::TimePoint next) {
+    next_pulse_ = next;
+    if (next > quiet_until_) notify();
+  }
+  /// No pulse is coming: the train stopped or this clock was detached.
+  void expect_no_pulse() {
+    next_pulse_ = kNoPulse;
+    notify();
+  }
+  /// Whether a pulse is announced, and its nominal instant.
+  bool expects_pulse() const { return next_pulse_ != kNoPulse; }
+  util::TimePoint next_pulse() const { return next_pulse_; }
 
   /// Time-sync reception of the pulse at `nominal`, applied lazily: the
   /// clock disciplines itself to `nominal` at true time
@@ -139,6 +211,18 @@ class NodeClock {
   }
 
   util::TimePoint epoch() const { return epoch_base_ + epoch_jitter_.value(); }
+  double rate() const { return 1.0 + drift_ppm_ * 1e-6; }
+  /// The mapping in force now.
+  ClockMapping current() const {
+    settle();
+    return ClockMapping{epoch(), local_epoch_, rate()};
+  }
+  void notify() {
+    if (listener_ != nullptr) listener_->on_clock_change();
+  }
+
+  // A pulse is only ever announced a positive period after a pulse.
+  static constexpr util::TimePoint kNoPulse = util::TimePoint::zero();
 
   double drift_ppm_;
   // True time of the last discipline is epoch_base_ + epoch_jitter_ (the
@@ -152,6 +236,9 @@ class NodeClock {
   util::TimePoint pending_nominal_;
   mutable std::uint64_t pending_seq_ = 0;
   PulseJitter pending_jitter_;
+  util::TimePoint next_pulse_ = kNoPulse;
+  util::TimePoint quiet_until_;
+  ClockListener* listener_ = nullptr;
 };
 
 }  // namespace evm::net

@@ -79,6 +79,12 @@ bool Radio::withdraw(std::uint64_t seq) {
   return true;
 }
 
+void Radio::withdraw_from(std::uint64_t seq) {
+  resolve();
+  std::erase_if(deferred_, [seq](const Deferred& d) { return d.seq >= seq; });
+  if (deferred_.empty()) medium_.note_pending(id_, false);
+}
+
 void Radio::clear_deferred() {
   resolve();
   if (!deferred_.empty()) {

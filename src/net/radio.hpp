@@ -86,6 +86,8 @@ class Radio {
   /// Drop the pending change keyed `seq`; false if it already took effect
   /// (or never existed).
   bool withdraw(std::uint64_t seq);
+  /// Drop every pending change whose seq is `seq` or later.
+  void withdraw_from(std::uint64_t seq);
   /// Apply what has taken effect, then drop every change still pending.
   void clear_deferred();
   /// Apply every pending change whose key has passed. Every accessor does

@@ -27,6 +27,7 @@ void TimeSync::attach(NodeId id, NodeClock& clock,
                       std::function<void(util::Duration)> on_pulse) {
   const auto it = find(id);
   if (it != subscribers_.end() && it->id == id) {
+    if (it->clock != &clock) it->clock->expect_no_pulse();
     it->clock = &clock;
     it->on_pulse = std::move(on_pulse);
   } else {
@@ -36,7 +37,11 @@ void TimeSync::attach(NodeId id, NodeClock& clock,
 
 void TimeSync::detach(NodeId id) {
   const auto it = find(id);
-  if (it != subscribers_.end() && it->id == id) subscribers_.erase(it);
+  if (it != subscribers_.end() && it->id == id) {
+    NodeClock* clock = it->clock;
+    subscribers_.erase(it);
+    clock->expect_no_pulse();
+  }
 }
 
 void TimeSync::start() {
@@ -51,32 +56,38 @@ void TimeSync::start() {
 }
 
 void TimeSync::stop() {
+  if (!running_) return;
   running_ = false;
   sim_.cancel(next_pulse_);
+  for (Subscriber& sub : subscribers_) sub.clock->expect_no_pulse();
 }
 
 void TimeSync::emit_pulse() {
   ++pulses_;
   const util::TimePoint nominal = sim_.now();
   last_pulse_ = nominal;
+  next_pulse_ = sim_.schedule_after(params_.period, [this] { emit_pulse(); });
+  const util::TimePoint next = nominal + params_.period;
   util::Rng& rng = sim_.rng();
   for (Subscriber& sub : subscribers_) {
     if (rng.bernoulli(params_.miss_probability)) {
       ++missed_;
-      continue;
+    } else {
+      // Detection latency: positive, roughly half-normal, hard-capped by the
+      // AM receiver circuit's time constant. Drawn now, computed when needed.
+      const double u1 = rng.next_double();
+      const double u2 = rng.next_double();
+      const PulseJitter jitter(u1, u2, params_.jitter_sigma, params_.jitter_max);
+      // The node detects the pulse `jitter` late but stamps it with the
+      // nominal pulse time, so its clock ends up `jitter` behind truth. The
+      // reception takes the sequence number its own event would have taken.
+      sub.clock->receive(sim_, nominal, sim_.reserve_sequence(), jitter);
+      if (sub.on_pulse) sub.on_pulse(jitter.value());
     }
-    // Detection latency: positive, roughly half-normal, hard-capped by the
-    // AM receiver circuit's time constant. Drawn now, computed when needed.
-    const double u1 = rng.next_double();
-    const double u2 = rng.next_double();
-    const PulseJitter jitter(u1, u2, params_.jitter_sigma, params_.jitter_max);
-    // The node detects the pulse `jitter` late but stamps it with the
-    // nominal pulse time, so its clock ends up `jitter` behind truth. The
-    // reception takes the sequence number its own event would have taken.
-    sub.clock->receive(sim_, nominal, sim_.reserve_sequence(), jitter);
-    if (sub.on_pulse) sub.on_pulse(jitter.value());
+    // Missed or not, the clock learns when the next pulse is due, and its
+    // listener plans up to it.
+    sub.clock->expect_pulse(next);
   }
-  next_pulse_ = sim_.schedule_after(params_.period, [this] { emit_pulse(); });
 }
 
 }  // namespace evm::net

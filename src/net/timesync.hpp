@@ -14,6 +14,13 @@
 // the same draw, so they agree bit for bit. Receptions thus cost no events
 // and, unless read, no transcendental maths, yet order exactly as if each
 // were one event.
+//
+// Hot-path note: after the receptions, the pulse announces the next
+// pulse's nominal instant to every attached clock, missed pulse or not
+// (NodeClock::expect_pulse). Each clock's listener, its node's RtLink,
+// then plans every frame that starts before that instant, so frames cost
+// no events while pulses come. stop() and detach() tell the clocks that no
+// pulse is coming, and their links fall back to one frame event each.
 #pragma once
 
 #include <functional>
@@ -45,21 +52,24 @@ class TimeSync {
   TimeSync(sim::Simulator& sim, TimeSyncParams params = {});
 
   /// Register a node's clock for disciplining; a clock may be attached under
-  /// one id only. `on_pulse` (optional) fires at the pulse instant, inside
+  /// one id only. It learns of the next pulse at the next pulse; a clock
+  /// replaced under `id` is told that no pulse is coming. `on_pulse` (optional) fires at the pulse instant, inside
   /// the pulse event and before any reception of that pulse has taken
   /// effect, with the jitter computed from this node's reception draw. It is
   /// not called for a missed pulse and must not call back into this TimeSync.
   void attach(NodeId id, NodeClock& clock,
               std::function<void(util::Duration jitter)> on_pulse = {});
   /// Stop disciplining `id` from the next pulse on; a reception already
-  /// handed to its clock still takes effect.
+  /// handed to its clock still takes effect. The clock is told that no
+  /// pulse is coming.
   void detach(NodeId id);
 
   /// Emit a pulse now, then every period. A restart after stop() waits
   /// until jitter_max after the previous pulse, so that pulse's receptions
   /// have all taken effect first.
   void start();
-  /// Cancel the next pulse; start() resumes the train.
+  /// Cancel the next pulse and tell every clock that no pulse is coming;
+  /// start() resumes the train.
   void stop();
 
   const TimeSyncParams& params() const { return params_; }

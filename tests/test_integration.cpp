@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "scenario/campaign.hpp"
+#include "scenario/runner.hpp"
 #include "testbed/testbed_builder.hpp"
 
 namespace evm::testbed {
@@ -289,6 +290,29 @@ TEST(ShippedScenarios, IdleNodesCostNoPerBeatEvents) {
   ASSERT_TRUE(runs[0].ok) << runs[0].error;
   EXPECT_LT(runs[0].task_releases, 1000u);
   EXPECT_LT(runs[0].sim_events, 50000u);
+}
+
+TEST(ShippedScenarios, QuietFramesCostNoEvents) {
+  // RT-Link plans every node's frames at the time-sync pulse, so a frame
+  // takes no event of its own: one per node per frame would add the frames
+  // run below (18,585 and 14,400) to the events dispatched.
+  const struct {
+    const char* file;
+    std::uint64_t max_events;
+    std::uint64_t frames;
+  } cases[] = {{"/scale_sweep_100.json", 30000, 18585}, {"/fig6_failover.json", 12000, 14400}};
+  for (const auto& c : cases) {
+    auto spec = scenario::ScenarioSpec::load_file(std::string(EVM_REPO_SCENARIOS_DIR) + c.file);
+    ASSERT_TRUE(spec.ok()) << c.file << ": " << spec.status().to_string();
+    scenario::ScenarioRunner runner(*spec, 1);
+    const scenario::RunMetrics run = runner.run();
+    ASSERT_TRUE(run.ok) << c.file << ": " << run.error;
+    const obs::Metrics& metrics = runner.metrics();
+    ASSERT_NE(metrics.find_counter("sim.events_dispatched"), nullptr);
+    ASSERT_NE(metrics.find_counter("net.rtlink.frames_run"), nullptr);
+    EXPECT_LT(metrics.find_counter("sim.events_dispatched")->value, c.max_events) << c.file;
+    EXPECT_EQ(metrics.find_counter("net.rtlink.frames_run")->value, c.frames) << c.file;
+  }
 }
 
 /// A report without its wall-clock "timing" block, the only part of a

@@ -217,6 +217,9 @@ TEST_F(ServiceFixture, StaleEpochCommandIgnored) {
 }
 
 TEST_F(ServiceFixture, MembershipHelloGrowsMemberList) {
+  // The schedule is frozen once a node starts, so the new hardware's slot
+  // is provisioned up front.
+  schedule.assign_tx(5, 5);
   start();
   run_for(util::Duration::millis(500));
   // Node 5 appears from nowhere (new hardware added to the mesh).
@@ -224,7 +227,6 @@ TEST_F(ServiceFixture, MembershipHelloGrowsMemberList) {
   NodeConfig config;
   config.id = 5;
   auto node5 = std::make_unique<Node>(sim, medium, schedule, sync, config);
-  schedule.assign_tx(5, 5);
   auto svc5 = std::make_unique<EvmService>(*node5, vc);
   ASSERT_TRUE(svc5->start());
 

@@ -305,6 +305,76 @@ TEST(TimeSync, RestartWaitsOutThePreviousPulsesReceptions) {
   EXPECT_EQ(pulse_at[3], pulse_at[2] + params.period);
 }
 
+TEST(NodeClock, MappingAtCountsAPendingReceptionOnlyStrictlyBeforeItLands) {
+  sim::Simulator sim(1);
+  NodeClock clock(200.0);
+  const util::TimePoint nominal(10'000'000);
+  const util::Duration jitter = util::Duration::micros(120);
+  const util::TimePoint lands = nominal + jitter;
+  sim.run_until(nominal);
+  const NodeClock before = clock;
+  clock.receive(sim, nominal, sim.reserve_sequence(), capped_jitter(jitter));
+  NodeClock after(200.0);
+  after.discipline(lands, nominal);
+  for (const util::TimePoint at : {nominal, lands - util::Duration(1), lands}) {
+    EXPECT_EQ(clock.mapping_at(at).local_time(at), before.local_time(at)) << at.ns();
+    EXPECT_EQ(clock.mapping_at(at).global_for(at), before.global_for(at)) << at.ns();
+  }
+  for (const util::TimePoint at :
+       {lands + util::Duration(1), lands + util::Duration::millis(1), nominal + util::Duration::seconds(1)}) {
+    EXPECT_EQ(clock.mapping_at(at).local_time(at), after.local_time(at)) << at.ns();
+    EXPECT_EQ(clock.mapping_at(at).global_for(at), after.global_for(at)) << at.ns();
+  }
+  // Once the reception has landed, the mapping in force is the planned one.
+  sim.run_until(lands + util::Duration::millis(1));
+  EXPECT_EQ(clock.local_time(sim.now()), after.local_time(sim.now()));
+  EXPECT_EQ(clock.mapping_at(sim.now()).local_time(sim.now()), after.local_time(sim.now()));
+}
+
+/// Records what its clock promises at each change it reports: the
+/// announced pulse's instant in ns, or -1 for none.
+class Announcements final : public ClockListener {
+ public:
+  explicit Announcements(NodeClock& clock) : clock_(clock) { clock_.set_listener(this); }
+  ~Announcements() { clock_.set_listener(nullptr); }
+  void on_clock_change() override {
+    seen.push_back(clock_.expects_pulse() ? clock_.next_pulse().ns() : -1);
+  }
+  std::vector<std::int64_t> seen;
+
+ private:
+  NodeClock& clock_;
+};
+
+TEST(TimeSync, AnnouncesTheNextPulseToEveryClockMissedOrNot) {
+  sim::Simulator sim(12);
+  TimeSyncParams params;
+  params.period = util::Duration::millis(100);
+  params.miss_probability = 0.5;
+  TimeSync sync(sim, params);
+  NodeClock a(0.0);
+  NodeClock b(0.0);
+  Announcements heard_a(a);
+  Announcements heard_b(b);
+  sync.attach(1, a);
+  sync.attach(2, b);
+  sync.start();
+  sim.run_until(util::TimePoint::zero() + util::Duration::millis(250));  // 0, 100, 200
+  EXPECT_GT(sync.pulses_missed(), 0u);
+  const std::vector<std::int64_t> train = {100'000'000, 200'000'000, 300'000'000};
+  EXPECT_EQ(heard_a.seen, train);
+  EXPECT_EQ(heard_b.seen, train);
+  b.set_drift_ppm(20.0);  // the mapping moved now; the announcement stands
+  EXPECT_EQ(heard_b.seen, (std::vector<std::int64_t>{100'000'000, 200'000'000, 300'000'000,
+                                                      300'000'000}));
+  sync.detach(2);
+  EXPECT_EQ(heard_b.seen.back(), -1);
+  sync.stop();
+  EXPECT_EQ(heard_a.seen.back(), -1);
+  EXPECT_EQ(heard_a.seen.size(), 4u);
+  EXPECT_EQ(heard_b.seen.size(), 5u);  // detached: the stop is not its news
+}
+
 // --- Reference: the event-per-reception model ------------------------------
 //
 // TimeSync once scheduled one event per reception, which disciplined the
